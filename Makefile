@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel profile compare baseline serve loadtest trace exec lint fmt
+.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill compare baseline serve loadtest trace exec lint fmt
 
 all: build test
 
@@ -39,6 +39,14 @@ profile:
 	go test -run '^$$' -bench 'BenchmarkCompile|BenchmarkPlacement' -benchmem \
 		-cpuprofile bench_cpu.pprof -memprofile bench_mem.pprof ./internal/core/
 	@echo "profiles: bench_cpu.pprof bench_mem.pprof (go tool pprof <file>)"
+
+# Profile the spill-heavy tail — storm and pressure loops x mirs x
+# tight, where every candidate II spills — through the real batch
+# driver on one worker; inspect with `go tool pprof -top spill_cpu.pprof`.
+profile-spill:
+	go run ./cmd/msched run -seed 1 -n 40 -corner storm,pressure -backends mirs -machines tight \
+		-workers 1 -cpuprofile spill_cpu.pprof -memprofile spill_mem.pprof
+	@echo "profiles: spill_cpu.pprof spill_mem.pprof (go tool pprof <file>)"
 
 # Gate current quality (ΣII, ΣMaxLive) and throughput (allocs/op)
 # against the committed baseline — the same command CI runs.

@@ -20,8 +20,9 @@
 // `compare` recomputes the gated quality rows (examples corpus + a
 // pinned generated population, every backend × gate machine) and diffs
 // them against the committed baseline: any ΣII or ΣMaxLive regression
-// fails the gate (exit 1). It also benchmarks the "perf:examples" rows
-// — allocations per full-corpus compile, gated with headroom
+// fails the gate (exit 1). It also benchmarks the "perf:examples" and
+// "perf:tight" rows — allocations per full-corpus compile, the tight
+// rows with MIRS spilling, gated with headroom
 // (report.AllocHeadroom), plus informational loops/sec — so a hot-path
 // allocation regression fails CI the same way a quality regression
 // does; -no-perf skips that measurement. -update-baseline rewrites the
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -201,12 +203,25 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	csvOut := fs.String("csv", "", "write baseline-style rows as CSV to this file")
 	traceSlowest := fs.Int("trace-slowest", 0, "re-compile the N slowest loops with the flight recorder and write their trace artifacts (needs -trace-dir)")
 	traceDir := fs.String("trace-dir", "", "directory for -trace-slowest artifacts")
+	corner := fs.String("corner", "", "comma-separated knob corners the population cycles (default: all)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU pprof profile of the sweep to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation pprof profile of the sweep to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if (*traceSlowest > 0) != (*traceDir != "") {
 		fmt.Fprintln(stderr, "msched run: -trace-slowest and -trace-dir must be set together")
 		return 2
+	}
+	corners := gen.Corners()
+	corpus := fmt.Sprintf("gen:seed=%d,n=%d", *seed, *n)
+	if *corner != "" {
+		var err error
+		if corners, err = cornersByTag(*corner); err != nil {
+			fmt.Fprintf(stderr, "msched run: %v (have: %s)\n", err, cornerTags())
+			return 2
+		}
+		corpus += ",corner=" + strings.ReplaceAll(*corner, ",", "+")
 	}
 	bes, err := backendsByName(*backends, *budget)
 	if err != nil {
@@ -222,15 +237,24 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		bes = append(bes, core.Portfolio())
 	}
 	spec := driver.Spec{
-		Corpus:   fmt.Sprintf("gen:seed=%d,n=%d", *seed, *n),
-		Loops:    gen.Corpus(*seed, *n),
+		Corpus:   corpus,
+		Loops:    gen.MixedCorpus(*seed, *n, corners),
 		Backends: bes,
 		Machines: ms,
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "msched run:", err)
+		return 1
 	}
 	rep := driver.Run(spec, driver.Options{
 		Workers: *workers, Timeout: *timeout, Timing: *timing, KeepOutcomes: *keep,
 		TraceSlowest: *traceSlowest, TraceDir: *traceDir, Probes: *probes, Exec: *exec,
 	})
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(stderr, "msched run:", err)
+		return 1
+	}
 	printSummary(stdout, rep)
 	if rep.TraceErr != "" {
 		fmt.Fprintln(stderr, "msched run: trace sampling:", rep.TraceErr)
@@ -332,23 +356,12 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 	}
 	var loops []*ir.Loop
 	if *corner != "" {
-		var k gen.Knobs
-		found := false
-		for _, c := range gen.Corners() {
-			if c.Tag == *corner {
-				k, found = c, true
-				break
-			}
-		}
-		if !found {
-			tags := []string{}
-			for _, c := range gen.Corners() {
-				tags = append(tags, c.Tag)
-			}
-			fmt.Fprintf(stderr, "msched gen: unknown corner %q (have: %s)\n", *corner, strings.Join(tags, ", "))
+		ks, err := cornersByTag(*corner)
+		if err != nil || len(ks) != 1 {
+			fmt.Fprintf(stderr, "msched gen: unknown corner %q (have: %s)\n", *corner, cornerTags())
 			return 2
 		}
-		loops = gen.CornerCorpus(*seed, *n, k)
+		loops = gen.CornerCorpus(*seed, *n, ks[0])
 	} else {
 		loops = gen.Corpus(*seed, *n)
 	}
@@ -368,6 +381,70 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// cornersByTag resolves a comma-separated list of gen.Corners tags.
+func cornersByTag(list string) ([]gen.Knobs, error) {
+	var ks []gen.Knobs
+	for _, tag := range strings.Split(list, ",") {
+		found := false
+		for _, c := range gen.Corners() {
+			if c.Tag == tag {
+				ks, found = append(ks, c), true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("unknown corner %q", tag)
+		}
+	}
+	return ks, nil
+}
+
+// cornerTags lists the gen.Corners tags for error messages.
+func cornerTags() string {
+	tags := []string{}
+	for _, c := range gen.Corners() {
+		tags = append(tags, c.Tag)
+	}
+	return strings.Join(tags, ", ")
+}
+
+// startProfiles starts a CPU profile into cpuPath and arms an
+// allocation profile into memPath (either may be empty); the returned
+// stop function finishes both. Only the named files are written, so the
+// reports stay byte-identical with or without profiling.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // gateRows recomputes the baseline-gated quality rows: the hand-written
@@ -406,7 +483,7 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 120, "generated-population size (must match the baseline's)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
-	noPerf := fs.Bool("no-perf", false, "skip the benchmarked perf:examples rows (allocs/op gate)")
+	noPerf := fs.Bool("no-perf", false, "skip the benchmarked perf:examples/perf:tight rows (allocs/op gate)")
 	gap := fs.Bool("gap", false, "also build the optimality-gap table (opt vs mirs) and gate it vs -gap-baseline")
 	gapOnly := fs.Bool("gap-only", false, "run only the gap pipeline, skipping the quality and perf gates (implies -gap)")
 	gapBaseline := fs.String("gap-baseline", "GAP_baseline.json", "gap baseline to gate against")

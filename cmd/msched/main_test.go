@@ -71,6 +71,39 @@ func TestRunDeterministicReport(t *testing.T) {
 	}
 }
 
+// TestRunProfilesAndCorners: -cpuprofile/-memprofile write only the
+// named files (the report is byte-identical to an unprofiled run), and
+// -corner restricts the population to the listed corners.
+func TestRunProfilesAndCorners(t *testing.T) {
+	dir := t.TempDir()
+	r1, r2 := filepath.Join(dir, "r1.json"), filepath.Join(dir, "r2.json")
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"run", "-seed", "9", "-n", "6", "-corner", "storm,tiny", "-machines", "tight", "-strict", "-keep-outcomes"}
+	if code, _, errOut := capture(t, append(args, "-o", r1)...); code != 0 {
+		t.Fatalf("run failed: %s", errOut)
+	}
+	if code, _, errOut := capture(t, append(args, "-o", r2, "-cpuprofile", cpu, "-memprofile", mem)...); code != 0 {
+		t.Fatalf("profiled run failed: %s", errOut)
+	}
+	a, _ := os.ReadFile(r1)
+	b, _ := os.ReadFile(r2)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatal("profiling changed the report")
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written: %v", f, err)
+		}
+	}
+	if !strings.Contains(string(a), "corner=storm+tiny") || !strings.Contains(string(a), "g0005-tiny") ||
+		strings.Contains(string(a), "balanced") {
+		t.Error("report does not reflect the -corner population")
+	}
+	if code, _, errOut := capture(t, "run", "-corner", "storm,nope"); code != 2 || !strings.Contains(errOut, "unknown corner") {
+		t.Errorf("unknown corner must exit 2, got %d: %s", code, errOut)
+	}
+}
+
 func TestGenPrintsLoops(t *testing.T) {
 	code, out, _ := capture(t, "gen", "-seed", "3", "-n", "2")
 	if code != 0 || !strings.Contains(out, "loop g0000-balanced") || !strings.Contains(out, "br") {

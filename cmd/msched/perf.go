@@ -8,64 +8,84 @@ import (
 	"github.com/paper-repo-growth/mirs/internal/report"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
 // perfRows measures the throughput rows of the benchmark-regression
-// gate: for each backend × gate machine, the example corpus is compiled
-// under testing.Benchmark and the row records allocations per
-// full-corpus compile (the gated metric — near-deterministic for a
-// fixed toolchain, see report.AllocHeadroom) alongside informational
-// ns/op and loops/sec. The corpus label "perf:examples" keeps these
-// rows distinct from the driver-computed quality rows over the same
-// loops; quality sums are included too, so a perf row gates exactly
-// like any other row plus the allocation check.
+// gate: the example corpus is compiled per backend × machine under
+// testing.Benchmark and each row records allocations per full-corpus
+// compile (the gated metric — near-deterministic for a fixed toolchain,
+// see report.AllocHeadroom) alongside informational ns/op and loops/sec.
+// "perf:examples" covers the gate machines the corpus fits on;
+// "perf:tight" runs the same loops on the register-starved machine, so
+// MIRS's spill path (victim selection, spill materialisation, the
+// re-seat) is on the gated path too. The corpus labels keep these rows
+// distinct from the driver-computed quality rows over the same loops;
+// quality sums are included too, so a perf row gates exactly like any
+// other row plus the allocation check.
 func perfRows() (*report.File, error) {
-	machines := []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}
-	loops := ir.ExampleLoops()
 	f := &report.File{}
-	for _, be := range core.Backends() {
-		for _, m := range machines {
-			var sumII, sumMaxLive, sumUnroll int
-			var firstErr error
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sumII, sumMaxLive, sumUnroll = 0, 0, 0
-					for _, l := range loops {
-						r, err := core.CompileWith(be, l, m)
-						if err != nil {
-							if firstErr == nil {
-								firstErr = fmt.Errorf("%s on %s: %s: %w", be.Name(), m.Name, l.Name, err)
-							}
-							return
-						}
-						sumII += r.Schedule.II
-						sumMaxLive += r.Pressure.MaxLive
-						sumUnroll += r.Expanded.Unroll
-					}
+	for _, set := range []struct {
+		corpus   string
+		machines []*machine.Machine
+	}{
+		{"perf:examples", []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}},
+		{"perf:tight", []*machine.Machine{machine.Tight()}},
+	} {
+		for _, be := range core.Backends() {
+			for _, m := range set.machines {
+				row, err := perfRow(set.corpus, be, m)
+				if err != nil {
+					return nil, err
 				}
-			})
-			if firstErr != nil {
-				return nil, firstErr
+				f.Rows = append(f.Rows, row)
 			}
-			nsPerOp := float64(res.NsPerOp())
-			loopsPerSec := 0.0
-			if nsPerOp > 0 {
-				loopsPerSec = float64(len(loops)) / (nsPerOp / 1e9)
-			}
-			f.Rows = append(f.Rows, report.Row{
-				Backend:     be.Name(),
-				Machine:     m.Name,
-				Corpus:      "perf:examples",
-				Loops:       len(loops),
-				SumII:       sumII,
-				SumMaxLive:  sumMaxLive,
-				SumUnroll:   sumUnroll,
-				NsPerOp:     nsPerOp,
-				AllocsPerOp: res.AllocsPerOp(),
-				LoopsPerSec: loopsPerSec,
-			})
 		}
 	}
 	return f, nil
+}
+
+// perfRow benchmarks one backend × machine over the example corpus.
+func perfRow(corpus string, be sched.Scheduler, m *machine.Machine) (report.Row, error) {
+	loops := ir.ExampleLoops()
+	var sumII, sumMaxLive, sumUnroll int
+	var firstErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sumII, sumMaxLive, sumUnroll = 0, 0, 0
+			for _, l := range loops {
+				r, err := core.CompileWith(be, l, m)
+				if err != nil {
+					if firstErr == nil {
+						firstErr = fmt.Errorf("%s on %s: %s: %w", be.Name(), m.Name, l.Name, err)
+					}
+					return
+				}
+				sumII += r.Schedule.II
+				sumMaxLive += r.Pressure.MaxLive
+				sumUnroll += r.Expanded.Unroll
+			}
+		}
+	})
+	if firstErr != nil {
+		return report.Row{}, firstErr
+	}
+	nsPerOp := float64(res.NsPerOp())
+	loopsPerSec := 0.0
+	if nsPerOp > 0 {
+		loopsPerSec = float64(len(loops)) / (nsPerOp / 1e9)
+	}
+	return report.Row{
+		Backend:     be.Name(),
+		Machine:     m.Name,
+		Corpus:      corpus,
+		Loops:       len(loops),
+		SumII:       sumII,
+		SumMaxLive:  sumMaxLive,
+		SumUnroll:   sumUnroll,
+		NsPerOp:     nsPerOp,
+		AllocsPerOp: res.AllocsPerOp(),
+		LoopsPerSec: loopsPerSec,
+	}, nil
 }

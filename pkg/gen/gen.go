@@ -313,10 +313,17 @@ func corpusLoop(seed uint64, i int, k Knobs) *ir.Loop {
 // Mix(seed, i) and is independent of n — growing a corpus keeps its
 // prefix stable, which is what lets CI compare populations by (seed, n).
 func Corpus(seed uint64, n int) []*ir.Loop {
-	corners := Corners()
+	return MixedCorpus(seed, n, Corners())
+}
+
+// MixedCorpus is Corpus cycling the given presets instead of all of
+// Corners(): loop i is the loop Corpus would generate at index i were
+// ks[i%len(ks)] its corner, so MixedCorpus(seed, n, Corners()) is
+// Corpus(seed, n) and a single preset gives CornerCorpus.
+func MixedCorpus(seed uint64, n int, ks []Knobs) []*ir.Loop {
 	loops := make([]*ir.Loop, 0, n)
 	for i := 0; i < n; i++ {
-		loops = append(loops, corpusLoop(seed, i, corners[i%len(corners)]))
+		loops = append(loops, corpusLoop(seed, i, ks[i%len(ks)]))
 	}
 	return loops
 }
@@ -326,9 +333,5 @@ func Corpus(seed uint64, n int) []*ir.Loop {
 // same seed derivation, same naming — which is what lets a driver
 // finding from a mixed corpus be reduced to a single-corner repro.
 func CornerCorpus(seed uint64, n int, k Knobs) []*ir.Loop {
-	loops := make([]*ir.Loop, 0, n)
-	for i := 0; i < n; i++ {
-		loops = append(loops, corpusLoop(seed, i, k))
-	}
-	return loops
+	return MixedCorpus(seed, n, []Knobs{k})
 }

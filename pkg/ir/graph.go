@@ -72,17 +72,23 @@ type Graph struct {
 	// so adjacency stays consistent.
 	Edges []Edge
 
-	succs [][]int // node -> indices into Edges (outgoing)
-	preds [][]int // node -> indices into Edges (incoming)
+	// opts are the normalised options the register edges were derived
+	// with; a spill splice derives its edges under the same options.
+	opts BuildOptions
+	// nreg is the length of the register-dependence prefix of Edges:
+	// Build's per-register blocks, ascending by register. DepMem edges
+	// (spill orderings, AddEdge) follow it.
+	nreg int
 
-	// succPtrs/predPtrs are the prebuilt adjacency views Succs and Preds
-	// return. They are (re)built eagerly — at the end of Build and after
-	// every AddEdge — so the accessors are allocation-free and safe for
-	// concurrent readers of a graph that is no longer being mutated.
-	// Slices share one backing array per direction; pointers go stale if
-	// Edges reallocates, which is why mutation rebuilds them immediately.
-	succPtrs [][]*Edge
-	predPtrs [][]*Edge
+	// The adjacency is a CSR index over edge pointers, built once when
+	// the graph is: adj[succOff[v]:succOff[v+1]] are v's outgoing edges
+	// and adj[predOff[v]:predOff[v+1]] its incoming ones, each in edge
+	// order; both offset tables are halves of off. Succs and Preds hand
+	// out capacity-capped windows of adj, so the accessors are
+	// allocation-free and safe for concurrent readers of a graph that is
+	// no longer being mutated.
+	off, succOff, predOff []int32
+	adj                   []*Edge
 }
 
 // BuildOptions tunes dependence-edge latencies and distances.
@@ -142,10 +148,6 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	if o.RenameCopies < 1 {
 		o.RenameCopies = 1
 	}
-	g := &Graph{Loop: l}
-	n := l.NumInstrs()
-	g.succs = make([][]int, n)
-	g.preds = make([][]int, n)
 
 	// Gather def and use positions per register, in body order.
 	defs := map[VReg][]int{}
@@ -170,101 +172,118 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
 
-	// The edge population is known exactly up front — per defined
-	// register, one true and one anti edge per use plus one output edge
-	// per definition site (the chain and the wrap) — so the edge array
+	// The edge population is known exactly up front, so the edge array
 	// and the adjacency index are sized once instead of grown per append.
 	nEdges := 0
 	for _, v := range regs {
-		nEdges += 2*len(uses[v]) + len(defs[v])
+		nEdges += regEdgeCount(len(defs[v]), len(uses[v]))
 	}
-	g.Edges = make([]Edge, 0, nEdges)
-
+	edges := make([]Edge, 0, nEdges)
 	for _, v := range regs {
-		dv := defs[v]
-		last := dv[len(dv)-1]
-
-		// True edges: each use reads its reaching definition.
-		for _, u := range uses[v] {
-			if k, carried := carriedDistance(l.Instrs[u], v); carried {
-				g.addEdge(Edge{From: last, To: u, Kind: DepTrue, Distance: k,
-					Latency: m.Latency(l.Instrs[last].Class), Reg: v})
-				continue
-			}
-			from, dist := -1, 0
-			for _, d := range dv {
-				if d < u {
-					from = d
-				}
-			}
-			if from == -1 {
-				from, dist = last, 1
-			}
-			g.addEdge(Edge{From: from, To: u, Kind: DepTrue, Distance: dist,
-				Latency: m.Latency(l.Instrs[from].Class), Reg: v})
-		}
-
-		// Anti edges: each use must issue no later than the conflicting
-		// redefinition of what it reads. With a single definition site
-		// and RenameCopies = k, a use reading δ iterations back
-		// conflicts with the redefinition k-δ iterations ahead (the
-		// ones between write different renamed copies); the strict
-		// k = 1 reproduces the classic rule — wrap-around reads bind
-		// the same iteration's definition, same-iteration reads the
-		// next iteration's. Multi-site registers keep strict edges to
-		// the next definition in body order.
-		single := len(dv) == 1
-		for _, u := range uses[v] {
-			if single {
-				delta := 0
-				if k, carried := carriedDistance(l.Instrs[u], v); carried {
-					delta = k
-				} else if u <= dv[0] {
-					delta = 1 // no definition precedes the use: a wrap-around read
-				}
-				dist := o.RenameCopies - delta
-				if dist < 0 {
-					dist = 0
-				}
-				if u == dv[0] && dist < 1 {
-					// A self anti edge (the instruction reads what it
-					// writes) is vacuous at distance >= 1 but would be
-					// unsatisfiable at 0 under a positive AntiLatency.
-					dist = 1
-				}
-				g.addEdge(Edge{From: u, To: dv[0], Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
-				continue
-			}
-			to, dist := -1, 0
-			for _, d := range dv {
-				if d > u {
-					to = d
-					break
-				}
-			}
-			if to == -1 {
-				to, dist = dv[0], 1
-			}
-			g.addEdge(Edge{From: u, To: to, Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
-		}
-
-		// Output edges: chain successive definitions, wrapping around.
-		// The wrap edge of a single-site register relaxes with
-		// RenameCopies — the same copy name recurs only every k
-		// iterations.
-		for i := 0; i+1 < len(dv); i++ {
-			g.addEdge(Edge{From: dv[i], To: dv[i+1], Kind: DepOutput, Distance: 0, Latency: o.OutputLatency, Reg: v})
-		}
-		wrapOut := 1
-		if single {
-			wrapOut = o.RenameCopies
-		}
-		g.addEdge(Edge{From: last, To: dv[0], Kind: DepOutput, Distance: wrapOut, Latency: o.OutputLatency, Reg: v})
+		edges = appendRegEdges(edges, l, m, o, v, defs[v], uses[v])
 	}
-	g.buildIndex()
-	g.rebuildAdjacency()
+	g := &Graph{Loop: l, Edges: edges, opts: o, nreg: len(edges)}
+	g.index()
 	return g, nil
 }
+
+// regEdgeCount is the size of one register's block: one true and one
+// anti edge per use plus one output edge per definition site (the chain
+// and the wrap).
+func regEdgeCount(ndefs, nuses int) int { return 2*nuses + ndefs }
+
+// appendRegEdges appends register v's dependence block — true edges,
+// then anti edges, then output edges — to dst. dv and uv are the body
+// positions of v's definitions and of the instructions reading it (each
+// reader once), ascending. It is the single statement of the
+// nearest-def, anti and output rules, shared by Build and the spill
+// splice (spill.go), which is what keeps a spliced graph edge for edge
+// equal to a rebuilt one.
+func appendRegEdges(dst []Edge, l *Loop, m *machine.Machine, o BuildOptions, v VReg, dv, uv []int) []Edge {
+	last := dv[len(dv)-1]
+
+	// True edges: each use reads its reaching definition.
+	for _, u := range uv {
+		if k, carried := carriedDistance(l.Instrs[u], v); carried {
+			dst = append(dst, Edge{From: last, To: u, Kind: DepTrue, Distance: k,
+				Latency: m.Latency(l.Instrs[last].Class), Reg: v})
+			continue
+		}
+		from, dist := -1, 0
+		for _, d := range dv {
+			if d < u {
+				from = d
+			}
+		}
+		if from == -1 {
+			from, dist = last, 1
+		}
+		dst = append(dst, Edge{From: from, To: u, Kind: DepTrue, Distance: dist,
+			Latency: m.Latency(l.Instrs[from].Class), Reg: v})
+	}
+
+	// Anti edges: each use must issue no later than the conflicting
+	// redefinition of what it reads. With a single definition site
+	// and RenameCopies = k, a use reading δ iterations back
+	// conflicts with the redefinition k-δ iterations ahead (the
+	// ones between write different renamed copies); the strict
+	// k = 1 reproduces the classic rule — wrap-around reads bind
+	// the same iteration's definition, same-iteration reads the
+	// next iteration's. Multi-site registers keep strict edges to
+	// the next definition in body order.
+	single := len(dv) == 1
+	for _, u := range uv {
+		if single {
+			delta := 0
+			if k, carried := carriedDistance(l.Instrs[u], v); carried {
+				delta = k
+			} else if u <= dv[0] {
+				delta = 1 // no definition precedes the use: a wrap-around read
+			}
+			dist := o.RenameCopies - delta
+			if dist < 0 {
+				dist = 0
+			}
+			if u == dv[0] && dist < 1 {
+				// A self anti edge (the instruction reads what it
+				// writes) is vacuous at distance >= 1 but would be
+				// unsatisfiable at 0 under a positive AntiLatency.
+				dist = 1
+			}
+			dst = append(dst, Edge{From: u, To: dv[0], Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
+			continue
+		}
+		to, dist := -1, 0
+		for _, d := range dv {
+			if d > u {
+				to = d
+				break
+			}
+		}
+		if to == -1 {
+			to, dist = dv[0], 1
+		}
+		dst = append(dst, Edge{From: u, To: to, Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
+	}
+
+	// Output edges: chain successive definitions, wrapping around.
+	// The wrap edge of a single-site register relaxes with
+	// RenameCopies — the same copy name recurs only every k
+	// iterations.
+	for i := 0; i+1 < len(dv); i++ {
+		dst = append(dst, Edge{From: dv[i], To: dv[i+1], Kind: DepOutput, Distance: 0, Latency: o.OutputLatency, Reg: v})
+	}
+	wrapOut := 1
+	if single {
+		wrapOut = o.RenameCopies
+	}
+	return append(dst, Edge{From: last, To: dv[0], Kind: DepOutput, Distance: wrapOut, Latency: o.OutputLatency, Reg: v})
+}
+
+// Options returns the normalised options the graph's register edges were
+// derived with (defaults filled in). A graph produced by spill
+// materialisation carries its source graph's options.
+func (g *Graph) Options() BuildOptions { return g.opts }
 
 func carriedDistance(in *Instruction, v VReg) (int, bool) {
 	if in.CarriedUses == nil {
@@ -275,8 +294,10 @@ func carriedDistance(in *Instruction, v VReg) (int, bool) {
 }
 
 // AddEdge appends an edge (typically a DepMem ordering constraint) and
-// keeps the adjacency lists consistent. It returns an error if the edge
-// references unknown nodes or has a negative distance or latency.
+// re-indexes the adjacency, O(nodes + edges) per call: it is for the
+// handful of edges a caller adds by hand, not for bulk construction. It
+// returns an error if the edge references unknown nodes or has a
+// negative distance or latency.
 func (g *Graph) AddEdge(e Edge) error {
 	n := g.NumNodes()
 	if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
@@ -291,114 +312,75 @@ func (g *Graph) AddEdge(e Edge) error {
 	if e.Distance == 0 && e.From == e.To {
 		return fmt.Errorf("ir: self edge %d->%d with distance 0 is unsatisfiable", e.From, e.To)
 	}
-	idx := len(g.Edges)
-	grew := len(g.Edges) == cap(g.Edges)
-	g.addEdge(e)
-	g.succs[e.From] = append(g.succs[e.From], idx)
-	g.preds[e.To] = append(g.preds[e.To], idx)
-	// Keep the pointer views current. When the edge array grew in place
-	// the existing views stay valid and only the new edge's pointer is
-	// appended (the per-node rows are capacity-capped, so the append
-	// copies the row rather than clobbering a neighbour's); when append
-	// reallocated the array, every cached pointer went stale and the
-	// views are rebuilt — reallocation is geometric, so a batch of
-	// AddEdge calls stays amortised O(1) per edge.
-	if g.succPtrs != nil {
-		if grew {
-			g.rebuildAdjacency()
-		} else {
-			ep := &g.Edges[idx]
-			g.succPtrs[e.From] = append(g.succPtrs[e.From], ep)
-			g.predPtrs[e.To] = append(g.predPtrs[e.To], ep)
-		}
-	}
+	g.Edges = append(g.Edges, e)
+	g.index()
 	return nil
 }
 
-// addEdge appends the edge only; Build defers the adjacency index to one
-// buildIndex pass over the finished edge array.
-func (g *Graph) addEdge(e Edge) {
-	g.Edges = append(g.Edges, e)
-}
-
-// buildIndex constructs the succs/preds index in CSR style: exact
-// per-node counts first, then one shared backing array per direction.
-// Rows are capacity-capped so a later AddEdge append copies the row
-// instead of clobbering a neighbour's.
-func (g *Graph) buildIndex() {
-	n := len(g.succs)
-	sc := make([]int, n)
-	pc := make([]int, n)
+// index builds the CSR adjacency in two allocations: per-node counts
+// are turned into row ends by a prefix sum, then a reverse walk over the
+// edges fills each row back to front, leaving every row in edge order
+// and every offset at its row's start. The arrays are reused when their
+// capacity allows (AddEdge, recycled spill storage), which is safe
+// because every earlier view is invalidated by then.
+func (g *Graph) index() {
+	n := g.Loop.NumInstrs()
+	off := reuse(g.off, 2*(n+1))
+	clear(off)
+	so, po := off[:n+1], off[n+1:]
 	for i := range g.Edges {
-		sc[g.Edges[i].From]++
-		pc[g.Edges[i].To]++
+		so[g.Edges[i].From]++
+		po[g.Edges[i].To]++
 	}
-	sback := make([]int, len(g.Edges))
-	pback := make([]int, len(g.Edges))
-	so, po := 0, 0
+	ne := int32(len(g.Edges))
+	for v := 1; v < n; v++ {
+		so[v] += so[v-1]
+		po[v] += po[v-1]
+	}
 	for v := 0; v < n; v++ {
-		g.succs[v] = sback[so : so : so+sc[v]]
-		so += sc[v]
-		g.preds[v] = pback[po : po : po+pc[v]]
-		po += pc[v]
+		po[v] += ne
 	}
-	for i := range g.Edges {
+	so[n], po[n] = ne, 2*ne
+	adj := reuse(g.adj, int(2*ne))
+	for i := len(g.Edges) - 1; i >= 0; i-- {
 		e := &g.Edges[i]
-		g.succs[e.From] = append(g.succs[e.From], i)
-		g.preds[e.To] = append(g.preds[e.To], i)
+		so[e.From]--
+		adj[so[e.From]] = e
+		po[e.To]--
+		adj[po[e.To]] = e
 	}
+	g.off, g.succOff, g.predOff, g.adj = off, so, po, adj
 }
 
-// rebuildAdjacency regenerates the pointer views Succs/Preds hand out.
-// Two allocations total (one backing array per direction), regardless of
-// node count, so even per-AddEdge rebuilds stay cheap on loop-sized
-// graphs.
-func (g *Graph) rebuildAdjacency() {
-	n := len(g.succs)
-	if g.succPtrs == nil {
-		g.succPtrs = make([][]*Edge, n)
-		g.predPtrs = make([][]*Edge, n)
+// reuse returns s resliced to n elements when its capacity allows, or a
+// fresh slice with half again as much headroom: a spill chain grows its
+// loop a little with every spill, and recycled storage must still fit
+// the spills after it. The contents are stale either way; callers
+// overwrite them.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
 	}
-	sback := make([]*Edge, len(g.Edges))
-	pback := make([]*Edge, len(g.Edges))
-	si, pi := 0, 0
-	for v := 0; v < n; v++ {
-		s0 := si
-		for _, ei := range g.succs[v] {
-			sback[si] = &g.Edges[ei]
-			si++
-		}
-		g.succPtrs[v] = sback[s0:si:si]
-		p0 := pi
-		for _, ei := range g.preds[v] {
-			pback[pi] = &g.Edges[ei]
-			pi++
-		}
-		g.predPtrs[v] = pback[p0:pi:pi]
-	}
+	return s[:n]
 }
 
 // NumNodes returns the number of instructions in the graph.
-func (g *Graph) NumNodes() int { return len(g.succs) }
+func (g *Graph) NumNodes() int { return len(g.succOff) - 1 }
 
-// Succs returns the outgoing edges of node id. The returned slice is a
-// shared adjacency view: callers must not mutate it, and it is
-// invalidated by the next AddEdge.
+// Succs returns the outgoing edges of node id, in edge order. The
+// returned slice is a shared adjacency view: callers must not mutate
+// it, and it is invalidated by the next AddEdge.
 func (g *Graph) Succs(id int) []*Edge {
-	if g.succPtrs == nil {
-		g.rebuildAdjacency()
-	}
-	return g.succPtrs[id]
+	o := g.succOff[id : id+2 : id+2]
+	return g.adj[o[0]:o[1]:o[1]]
 }
 
-// Preds returns the incoming edges of node id. The returned slice is a
-// shared adjacency view: callers must not mutate it, and it is
-// invalidated by the next AddEdge.
+// Preds returns the incoming edges of node id, in edge order. The
+// returned slice is a shared adjacency view: callers must not mutate
+// it, and it is invalidated by the next AddEdge.
 func (g *Graph) Preds(id int) []*Edge {
-	if g.predPtrs == nil {
-		g.rebuildAdjacency()
-	}
-	return g.predPtrs[id]
+	o := g.predOff[id : id+2 : id+2]
+	return g.adj[o[0]:o[1]:o[1]]
 }
 
 // IntraTopoOrder returns the nodes in a topological order of the
@@ -413,25 +395,22 @@ func (g *Graph) IntraTopoOrder() ([]int, error) {
 			indeg[e.To]++
 		}
 	}
-	queue := make([]int, 0, n)
+	// Kahn's algorithm with the output doubling as the FIFO queue: every
+	// node is enqueued exactly once, and order[head:] is what is pending.
+	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, ei := range g.succs[id] {
-			e := &g.Edges[ei]
+	for head := 0; head < len(order); head++ {
+		for _, e := range g.Succs(order[head]) {
 			if e.Distance != 0 {
 				continue
 			}
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+				order = append(order, e.To)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ func TestMaterializeSpillStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Spill v5, defined by the fmul (id 2), consumed by the fadd (id 3).
-	sp, err := MaterializeSpill(l, m, g, 2, 5, nil)
+	sp, err := MaterializeSpill(l, m, g, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMaterializeSpillCarriedConsumer(t *testing.T) {
 	}
 	// v4 is defined by the fmul (id 2) and read two iterations later by
 	// the fadd (id 1, CarriedUses[v4]=2) plus same-iteration by the store.
-	sp, err := MaterializeSpill(l, m, g, 2, 4, nil)
+	sp, err := MaterializeSpill(l, m, g, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMaterializeSpillSelfRecurrence(t *testing.T) {
 	// v4 is the accumulator: defined by the fadd (id 3) and consumed by
 	// itself one iteration later. Both the reload (before) and the store
 	// (after) must materialise around the same instruction.
-	sp, err := MaterializeSpill(l, m, g, 3, 4, nil)
+	sp, err := MaterializeSpill(l, m, g, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMaterializeSpillPreservesMemEdges(t *testing.T) {
 	if err := g.AddEdge(Edge{From: 11, To: 0, Kind: DepMem, Distance: 1, Latency: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := MaterializeSpill(l, m, g, 0, 5, nil)
+	sp, err := MaterializeSpill(l, m, g, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestMaterializeSpillErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaterializeSpill(l, m, g, 6, 0, nil); err == nil {
+	if _, err := MaterializeSpill(l, m, g, 6, 0); err == nil {
 		t.Error("spilling a register the instruction does not define succeeded")
 	}
-	if _, err := MaterializeSpill(l, m, g, 99, 0, nil); err == nil {
+	if _, err := MaterializeSpill(l, m, g, 99, 0); err == nil {
 		t.Error("spilling an out-of-range instruction succeeded")
 	}
 	other, _ := Build(DotProduct(), m, nil)
-	if _, err := MaterializeSpill(l, m, other, 2, 5, nil); err == nil {
+	if _, err := MaterializeSpill(l, m, other, 2, 5); err == nil {
 		t.Error("spilling with a foreign graph succeeded")
 	}
 }
@@ -176,7 +176,7 @@ func TestMaterializeLiveInSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := MaterializeLiveInSpill(l, m, g, 1, nil)
+	sp, err := MaterializeLiveInSpill(l, m, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +198,10 @@ func TestMaterializeLiveInSpill(t *testing.T) {
 		}
 	}
 	// Spilling a defined register through the live-in path must fail.
-	if _, err := MaterializeLiveInSpill(l, m, g, 5, nil); err == nil {
+	if _, err := MaterializeLiveInSpill(l, m, g, 5); err == nil {
 		t.Error("live-in spill of a defined register succeeded")
 	}
-	if _, err := MaterializeLiveInSpill(l, m, g, 99, nil); err == nil {
+	if _, err := MaterializeLiveInSpill(l, m, g, 99); err == nil {
 		t.Error("live-in spill of an unused register succeeded")
 	}
 }
@@ -215,7 +215,7 @@ func TestSpilledLoopSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := MaterializeSpill(l, m, g, 2, 5, nil)
+	sp, err := MaterializeSpill(l, m, g, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

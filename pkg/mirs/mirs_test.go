@@ -249,3 +249,34 @@ func TestMIRSSpilledScheduleIsSelfConsistent(t *testing.T) {
 		t.Errorf("augmented loop invalid: %v", err)
 	}
 }
+
+// TestMIRSSpillKeepsRenameCopies: a request graph built with
+// RenameCopies > 1 must stay relaxed through every spill, so a returned
+// spill-augmented graph carries the request's options.
+func TestMIRSSpillKeepsRenameCopies(t *testing.T) {
+	m := machine.Tight()
+	spilled := 0
+	for _, l := range ir.ExampleLoops() {
+		g, err := ir.Build(l, m, &ir.BuildOptions{RenameCopies: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := New().Schedule(&sched.Request{Loop: l, Machine: m, Graph: g})
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if err := out.Validate(); err != nil {
+			t.Errorf("%s: %v", l.Name, err)
+		}
+		if out.Stats["spill_loads"] == 0 {
+			continue
+		}
+		spilled++
+		if got := out.Graph.Options().RenameCopies; got != 3 {
+			t.Errorf("%s: spilled graph has RenameCopies %d, want 3", l.Name, got)
+		}
+	}
+	if spilled == 0 {
+		t.Fatalf("no example loop spilled on %s, so no spill carried the options", m.Name)
+	}
+}

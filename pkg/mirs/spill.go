@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
@@ -205,9 +204,9 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	var sp *ir.Spill
 	var err error
 	if id < 0 {
-		sp, err = ir.MaterializeLiveInSpill(st.loop, st.m, st.g, reg, nil)
+		sp, err = ir.MaterializeLiveInSpill(st.loop, st.m, st.g, reg)
 	} else {
-		sp, err = ir.MaterializeSpill(st.loop, st.m, st.g, id, reg, nil)
+		sp, err = ir.MaterializeSpill(st.loop, st.m, st.g, id, reg)
 	}
 	if err != nil {
 		return false
@@ -232,27 +231,33 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	// this, heavy spilling starves the budget that was sized for the
 	// original body and placement dies half-done at every II.
 	st.budget += st.maxRetries * (n - st.loop.NumInstrs())
-	plc := make([]sched.Placement, n)
-	placed := make([]bool, n)
-	noSpill := make([]bool, n)
-	forcedAt := make([]int, n)
-	for old, now := range sp.OldToNew {
-		plc[now] = st.plc[old]
-		placed[now] = st.placed[old]
-		noSpill[now] = st.noSpill[old]
-		forcedAt[now] = st.forcedAt[old]
+	// Carry the per-instruction tables across in place. OldToNew is
+	// monotone and never maps an instruction below its old ID, so a
+	// backward walk reads every old entry before anything overwrites it;
+	// the slots left over are the new spill code's, reset to unplaced.
+	st.plc = grow(st.plc, n)
+	st.placed = grow(st.placed, n)
+	st.noSpill = grow(st.noSpill, n)
+	st.forcedAt = grow(st.forcedAt, n)
+	for old := len(sp.OldToNew) - 1; old >= 0; old-- {
+		now := sp.OldToNew[old]
+		st.plc[now] = st.plc[old]
+		st.placed[now] = st.placed[old]
+		st.noSpill[now] = st.noSpill[old]
+		st.forcedAt[now] = st.forcedAt[old]
+	}
+	fresh := func(x int) {
+		st.plc[x], st.placed[x], st.noSpill[x], st.forcedAt[x] = sched.Placement{}, false, true, 0
 	}
 	if id >= 0 {
-		noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
-	}
-	if sp.StoreID >= 0 {
-		noSpill[sp.StoreID] = true
+		st.noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
+		fresh(sp.StoreID)
 	}
 	for _, rid := range sp.ReloadIDs {
-		noSpill[rid] = true
+		fresh(rid)
 	}
 	// Failures below this point would leave the state half-migrated, and
-	// none can occur for a well-formed spill (the rebuilt graph is acyclic
+	// none can occur for a well-formed spill (the spliced graph is acyclic
 	// intra-iteration, II is unchanged, and the re-seated reservations are
 	// the surviving subset of what was reserved before), so they panic as
 	// internal bugs rather than corrupting the in-flight schedule.
@@ -261,12 +266,14 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 		panic(fmt.Sprintf("mirs: spill of %s (def %d): %v", reg, id, err))
 	}
 
-	st.loop, st.g = sp.Loop, sp.Graph
-	st.plc, st.placed, st.noSpill, st.forcedAt, st.height = plc, placed, noSpill, forcedAt, height
+	st.liveInUses = spliceLiveInUses(st.liveInUses, sp, id < 0, reg)
+	if st.spilled != nil {
+		st.spilled.Release() // superseded: nothing refers to it any more
+	}
+	st.loop, st.g, st.height, st.spilled = sp.Loop, sp.Graph, height, sp
 	st.mrt.Reset(st.ii)
 	st.track.Reset(st.ii)
 	st.wc.Reset(st.g, st.m, st.ii)
-	st.liveInUses = life.LiveInUses(st.loop)
 	st.rebindLoop()
 
 	// Re-seat the surviving placements in the fresh MRT: unit slots,
@@ -293,7 +300,8 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 		tr := sched.Transfer{From: e.From, Reg: e.Reg, Dest: st.plc[e.To].Cluster,
 			Cycle: sched.TransferCycle(st.m, st.loop, st.plc, e.From)}
 		if err := st.mrt.AddTransfer(tr); err != nil {
-			panic(fmt.Sprintf("mirs: re-seating transfer from %d after spill: %v", e.From, err))
+			panic(fmt.Sprintf("mirs: re-seating transfer of %s from %d to cluster %d at cycle %d after spill: %v",
+				tr.Reg, tr.From, tr.Dest, tr.Cycle, err))
 		}
 	}
 	for nid := 0; nid < n; nid++ {
@@ -318,4 +326,32 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 		}
 	}
 	return true
+}
+
+// spliceLiveInUses carries the per-instruction live-in reads
+// (life.LiveInUses) across a spill without recomputing them: spill code
+// reads no live-in (a store reads the spilled definition, a reload reads
+// memory), and a rewired consumer's reads change only in the spilled
+// register, which is a live-in exactly when the spill is a live-in
+// spill — then it drops out of its consumers' rows. The input rows may
+// be shared with other attempters, so a changed row is a fresh slice.
+func spliceLiveInUses(rows [][]ir.VReg, sp *ir.Spill, liveIn bool, reg ir.VReg) [][]ir.VReg {
+	out := make([][]ir.VReg, sp.Loop.NumInstrs())
+	for old, row := range rows {
+		out[sp.OldToNew[old]] = row
+	}
+	if !liveIn {
+		return out
+	}
+	for _, rid := range sp.ReloadIDs {
+		c := rid + 1 // each reload sits right before its consumer
+		var kept []ir.VReg
+		for _, v := range out[c] {
+			if v != reg {
+				kept = append(kept, v)
+			}
+		}
+		out[c] = kept
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package mirs
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
@@ -76,6 +75,13 @@ type state struct {
 
 	seenDefs []defKey         // refreshAround dedup scratch
 	trs      []sched.Transfer // transfer enumeration scratch
+
+	// spilled is the spill whose loop and graph are the current
+	// loop/g, nil while they are the attempt's source pair. The next
+	// spill supersedes it and releases its storage for reuse; reset
+	// drops it unreleased, because the schedule the attempt returned
+	// may still refer to it.
+	spilled *ir.Spill
 
 	memLat, busLat int
 
@@ -177,16 +183,16 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	}
 	n := loop.NumInstrs()
 	st.ii = ii
-	st.loop, st.g = loop, g
+	st.loop, st.g, st.spilled = loop, g, nil
 	st.height = height
 	st.liveInUses = liveInUses
 	st.mrt.Reset(ii)
 	st.track.Reset(ii)
 	st.wc.Reset(g, st.m, ii)
-	st.plc = resizePlacements(st.plc, n)
-	st.placed = resizeBools(st.placed, n)
-	st.noSpill = resizeBools(st.noSpill, n)
-	st.forcedAt = resizeInts(st.forcedAt, n)
+	st.plc = resize(st.plc, n)
+	st.placed = resize(st.placed, n)
+	st.noSpill = resize(st.noSpill, n)
+	st.forcedAt = resize(st.forcedAt, n)
 	st.budget = maxRetries * n
 	st.maxRetries = maxRetries
 	st.spills = 0
@@ -216,7 +222,7 @@ func (st *state) rebindLoop() {
 			}
 		}
 	}
-	st.liveIn = resizeInt32s(st.liveIn, st.m.NumClusters()*st.nregs)
+	st.liveIn = resize(st.liveIn, st.m.NumClusters()*st.nregs)
 
 	n := st.loop.NumInstrs()
 	if cap(st.defBase) < n+1 {
@@ -229,9 +235,14 @@ func (st *state) rebindLoop() {
 		st.defBase[i] = len(st.defRegs)
 		st.defRegs = append(st.defRegs, in.Defs...)
 		// Registers ascend within an instruction so the victim scan's
-		// (id, reg) order matches the old sorted-key iteration.
+		// (id, reg) order matches the old sorted-key iteration. Def
+		// lists are a handful long: insertion sort, allocation-free.
 		slot := st.defRegs[st.defBase[i]:]
-		sort.Slice(slot, func(a, b int) bool { return slot[a] < slot[b] })
+		for a := 1; a < len(slot); a++ {
+			for b := a; b > 0 && slot[b] < slot[b-1]; b-- {
+				slot[b], slot[b-1] = slot[b-1], slot[b]
+			}
+		}
 	}
 	st.defBase[n] = len(st.defRegs)
 	if cap(st.charged) < len(st.defRegs) {
@@ -246,48 +257,27 @@ func (st *state) rebindLoop() {
 	}
 }
 
-func resizeInts(s []int, n int) []int {
+// resize returns s resized to n zeroed elements, reusing its storage
+// when the capacity allows.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+// grow returns s resized to n elements, keeping its contents and
+// reallocating (with headroom, as spills keep growing the loop) only
+// when the capacity falls short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-func resizePlacements(s []sched.Placement, n int) []sched.Placement {
-	if cap(s) < n {
-		return make([]sched.Placement, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = sched.Placement{}
-	}
-	return s
+	t := make([]T, n, n+n/4)
+	copy(t, s)
+	return t
 }
 
 // defSlot returns the flat charged index of definition (id, reg).

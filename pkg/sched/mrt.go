@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -285,11 +286,18 @@ func (t *MRT) findTransfer(from int, reg ir.VReg, dest int) int {
 	return -1
 }
 
+// ErrBusFull is AddTransfer's (and AddTransfers') failure: the
+// transfer's cycle row has no bus left. It is a preallocated sentinel
+// because placement loops probe bus bandwidth at many candidate cycles
+// and most probes on a crowded bus fail; a caller that surfaces the
+// error wraps it with the transfer it was placing.
+var ErrBusFull = errors.New("sched: all buses busy")
+
 // AddTransfer reserves bus bandwidth for one cross-cluster dependence
 // edge. Edges sharing the same (producer, register, destination cluster)
 // ride the same physical transfer, so only the first of them claims a
-// bus; subsequent calls just bump its reference count. It fails when the
-// transfer's cycle row has no bus left.
+// bus; subsequent calls just bump its reference count. It fails with
+// ErrBusFull when the transfer's cycle row has no bus left.
 func (t *MRT) AddTransfer(tr Transfer) error {
 	if i := t.findTransfer(tr.From, tr.Reg, tr.Dest); i >= 0 {
 		t.busRefs[i].refs++
@@ -297,8 +305,7 @@ func (t *MRT) AddTransfer(tr Transfer) error {
 	}
 	c := t.mod(tr.Cycle)
 	if t.busUsed[c] >= t.busCap {
-		return fmt.Errorf("sched: all %d buses busy at cycle %d (mod II=%d) for transfer of %s from instruction %d to cluster %d",
-			t.busCap, c, t.ii, tr.Reg, tr.From, tr.Dest)
+		return ErrBusFull
 	}
 	t.busUsed[c]++
 	t.busRefs = append(t.busRefs, busEntry{from: tr.From, reg: tr.Reg, dest: tr.Dest, cycle: c, refs: 1})
