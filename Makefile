@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill compare baseline serve loadtest trace exec lint fmt
+.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill compare baseline serve loadtest trace exec lint fmt sloc
 
 all: build test
 
@@ -84,6 +84,14 @@ exec:
 
 lint:
 	golangci-lint run
+
+# Non-test Go source lines per package, then the total. perfbench/ is a
+# separate module, so ./... leaves it out.
+sloc:
+	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		awk '{n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
+		sub(/^[^\/]*\/[^\/]*\/[^\/]*\/?/, "", $$1); printf "%6d %s\n", n, ($$1 == "" ? "." : $$1); t += n } \
+		END {printf "%6d total\n", t}'
 
 fmt:
 	gofmt -l -w .

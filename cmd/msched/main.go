@@ -139,38 +139,36 @@ func machinesByName(spec string) ([]*machine.Machine, error) {
 }
 
 // backendsByName resolves a comma-separated backend list against the
-// core registry. "all" expands to every registered backend; "portfolio"
-// (the strategy-racing scheduler, core.Portfolio) and "opt" (the exact
-// SAT backend, core.Opt with optBudget conflicts per candidate II) are
-// resolvable by name but deliberately not part of "all" — the portfolio
-// duplicates whichever strategy wins, and opt's role is the optimality
-// yardstick, so sweeping either alongside the real backends would
-// double-count without informing.
+// core registry. "all" expands, wherever it appears in the list, to
+// every registered backend; "portfolio" (the strategy-racing scheduler,
+// core.Portfolio) and "opt" (the exact SAT backend, core.Opt with
+// optBudget conflicts per candidate II) are resolvable by name but
+// deliberately not part of "all" — the portfolio duplicates whichever
+// strategy wins, and opt's role is the optimality yardstick, so
+// sweeping either alongside the real backends would double-count
+// without informing. "all,portfolio" sweeps both.
 func backendsByName(spec string, optBudget int64) ([]sched.Scheduler, error) {
 	reg := core.Backends()
-	if spec == "all" {
-		return reg, nil
-	}
 	byName := map[string]sched.Scheduler{}
 	for _, b := range reg {
 		byName[b.Name()] = b
 	}
 	var out []sched.Scheduler
 	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "portfolio" {
+		switch name = strings.TrimSpace(name); name {
+		case "all":
+			out = append(out, reg...)
+		case "portfolio":
 			out = append(out, core.Portfolio())
-			continue
-		}
-		if name == "opt" {
+		case "opt":
 			out = append(out, core.Opt(optBudget))
-			continue
+		default:
+			b, ok := byName[name]
+			if !ok {
+				return nil, fmt.Errorf("unknown backend %q (have: %s, opt, portfolio, all)", name, strings.Join(backendNames(reg), ", "))
+			}
+			out = append(out, b)
 		}
-		b, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown backend %q (have: %s, opt, portfolio, all)", name, strings.Join(backendNames(reg), ", "))
-		}
-		out = append(out, b)
 	}
 	return out, nil
 }
@@ -188,12 +186,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 1, "generator master seed")
 	n := fs.Int("n", 200, "number of generated loops")
-	backends := fs.String("backends", "all", "comma-separated backends, or all")
+	backends := fs.String("backends", "all", "comma-separated backends; all expands to the registered ones")
 	machines := fs.String("machines", "unified,paper-4cluster", "comma-separated machines, or all")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	probes := fs.Int("probes", 1, "parallel candidate-II probes per compilation (outputs stay byte-identical)")
 	exec := fs.Bool("exec", false, "differentially execute every successful compilation (emitted bundles vs the sequential reference); any mismatch fails the run")
-	portfolio := fs.Bool("portfolio", false, "also sweep the strategy-racing portfolio backend")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
 	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
 	timing := fs.Bool("timing", false, "include wall-clock fields (breaks byte-determinism)")
@@ -232,9 +229,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "msched run:", err)
 		return 2
-	}
-	if *portfolio {
-		bes = append(bes, core.Portfolio())
 	}
 	spec := driver.Spec{
 		Corpus:   corpus,

@@ -255,3 +255,27 @@ func TestRunOptBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestBackendsAllExpandsInList pins that "all" expands wherever it
+// appears in a -backends list, so the portfolio (outside "all") is
+// added to a sweep by name rather than by a flag of its own.
+func TestBackendsAllExpandsInList(t *testing.T) {
+	for spec, want := range map[string]string{
+		"all":               "list,mirs",
+		"all,portfolio":     "list,mirs,portfolio",
+		"opt, all":          "opt,list,mirs",
+		"mirs,portfolio":    "mirs,portfolio",
+		"portfolio,all,opt": "portfolio,list,mirs,opt",
+	} {
+		bes, err := backendsByName(spec, 0)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if got := strings.Join(backendNames(bes), ","); got != want {
+			t.Errorf("%q resolved to %s, want %s", spec, got, want)
+		}
+	}
+	if _, err := backendsByName("all,nope", 0); err == nil || !strings.Contains(err.Error(), `unknown backend "nope"`) {
+		t.Errorf("all,nope: got %v, want an unknown-backend error", err)
+	}
+}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,7 +56,7 @@ func perfRow(corpus string, be sched.Scheduler, m *machine.Machine) (report.Row,
 		for i := 0; i < b.N; i++ {
 			sumII, sumMaxLive, sumUnroll = 0, 0, 0
 			for _, l := range loops {
-				r, err := core.CompileWith(be, l, m)
+				r, err := core.CompileSafeWith(context.Background(), be, l, m, core.Opts{})
 				if err != nil {
 					if firstErr == nil {
 						firstErr = fmt.Errorf("%s on %s: %s: %w", be.Name(), m.Name, l.Name, err)

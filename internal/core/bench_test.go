@@ -73,7 +73,7 @@ func BenchmarkCompile(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					sumII, sumMaxLive, sumUnroll = 0, 0, 0
 					for _, l := range loops {
-						r, err := CompileWith(be, l, mc.m)
+						r, err := compile(be, l, mc.m)
 						if err != nil {
 							b.Fatalf("%s on %s: %v", l.Name, mc.name, err)
 						}
@@ -189,7 +189,7 @@ func BenchmarkCompileParallel(b *testing.B) {
 	type ref struct{ ii, maxLive, unroll int }
 	refs := make([]ref, len(loops))
 	for i, l := range loops {
-		r, err := CompileWith(be, l, m)
+		r, err := compile(be, l, m)
 		if err != nil {
 			b.Fatalf("sequential %s: %v", l.Name, err)
 		}
@@ -206,7 +206,7 @@ func BenchmarkCompileParallel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j, l := range loops {
-				r, err := CompileWithOpts(context.Background(), be, l, m, Opts{ParallelProbes: probes})
+				r, err := CompileSafeWith(context.Background(), be, l, m, Opts{ParallelProbes: probes})
 				if err != nil {
 					b.Fatalf("parallel %s: %v", l.Name, err)
 				}

@@ -20,7 +20,7 @@ func TestCompileCancelledBeforeStart(t *testing.T) {
 	l := ir.ExampleLoops()[0]
 	m := machine.Unified()
 	for _, be := range Backends() {
-		_, err := CompileSafe(ctx, be, l, m)
+		_, err := CompileSafeWith(ctx, be, l, m, Opts{})
 		if err == nil {
 			t.Fatalf("backend %q: want error from cancelled context, got nil", be.Name())
 		}
@@ -57,7 +57,7 @@ func TestCompileDeadlineCancelsInFlight(t *testing.T) {
 	defer cancel()
 	be := &blockingSched{entered: make(chan struct{})}
 	start := time.Now()
-	_, err := CompileSafe(ctx, be, ir.ExampleLoops()[0], machine.Unified())
+	_, err := CompileSafeWith(ctx, be, ir.ExampleLoops()[0], machine.Unified(), Opts{})
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

@@ -48,7 +48,7 @@ type Result struct {
 	Pressure *regpress.Result
 	// Expanded is the modulo-variable-expanded kernel of Schedule:
 	// unroll factor, rotating register copies, prologue/epilogue stage
-	// maps. It is always Validate-clean — CompileWith fails instead of
+	// maps. It is always Validate-clean — compilation fails instead of
 	// returning a kernel with a wrap-around redefinition.
 	Expanded *sched.ExpandedKernel
 	// ProbeStats counts the speculative probes the parallel search ran
@@ -84,24 +84,17 @@ func (r *Result) Summary() string {
 	return s
 }
 
-// Compile runs the full pipeline on loop l for machine m with the default
-// baseline backend (the list scheduler).
-func Compile(l *ir.Loop, m *machine.Machine) (*Result, error) {
-	return CompileWith(sched.ListScheduler{}, l, m)
-}
-
 // Backends returns the registered scheduler backends, baseline first:
 // the greedy list scheduler and the paper's MIRS (backtracking with
 // integrated register spilling). Benchmarks and corpus sweeps iterate
-// this list so every new backend is exercised by CompileWith across the
-// whole example corpus.
+// this list so every new backend is exercised by CompileSafeWith across
+// the whole example corpus.
 func Backends() []sched.Scheduler {
 	return []sched.Scheduler{sched.ListScheduler{}, mirs.New()}
 }
 
 // Opts carries the optional knobs of a compilation. The zero value is
-// the default pipeline; CompileWithContext is CompileWithOpts with the
-// zero Opts.
+// the default pipeline.
 type Opts struct {
 	// Recorder, when non-nil, receives the backend's search trace
 	// (pkg/trace): II attempts, placements, ejections, spills. A nil
@@ -123,80 +116,43 @@ type Opts struct {
 	// every loop of a corpus exercises different addresses and operand
 	// values while the whole sweep stays byte-deterministic.
 	Exec bool
-	// Portfolio races the stock heterogeneous strategy mix
-	// (search.DefaultPortfolio) instead of the single backend s and
-	// keeps the deterministic best by (fits, II, MaxLive, spill
-	// traffic); the winning strategy's index lands in
-	// Schedule.Stats["portfolio_winner"]. ParallelProbes is ignored
-	// while racing — the portfolio's strategy-level parallelism already
-	// uses the extra cores.
-	Portfolio bool
 }
 
-// CompileSafeWith is CompileSafe with explicit Opts — the entry point
-// for callers that want panic isolation and a trace of the search (the
-// `msched trace` explainer, the driver's slow-loop sampling).
+// CompileSafeWith is the compilation entry point: it runs the full
+// pipeline on loop l for machine m with backend s — dependence graph,
+// MII, scheduling, pressure analysis, modulo variable expansion and,
+// with Opts.Exec, differential execution.
+//
+// The returned schedule is guaranteed Validate-clean: regpress.Analyze
+// re-validates backend output, so a buggy backend is caught at this
+// boundary rather than downstream. A nil scheduler, loop or machine is
+// an ordinary error, and a panic anywhere in the pipeline is converted
+// into one carrying the recovered value and a trimmed stack — batch
+// drivers and the serving layer compile untrusted or generated
+// populations through here, and one pathological loop must cost one
+// result, not the whole sweep. ctx is threaded into the backend via
+// sched.Request.Ctx: cancelling it aborts the in-flight II search at
+// the next checkpoint, and the returned error then wraps ctx.Err(), so
+// callers classify timeouts with errors.Is.
 func CompileSafeWith(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (r *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			stack := debug.Stack()
-			if len(stack) > 2048 {
-				stack = stack[:2048]
-			}
-			r, err = nil, fmt.Errorf("core: panic compiling loop %q: %v\n%s", l.Name, p, stack)
-		}
-	}()
-	return CompileWithOpts(ctx, s, l, m, opts)
-}
-
-// CompileSafe is CompileWithContext with panic isolation: a panicking
-// backend (or analysis layer) is converted into an ordinary per-loop
-// error instead of taking down the caller. This is the non-fatal error
-// path batch drivers and the serving layer compile untrusted or
-// generated populations through — one pathological loop must cost one
-// result, not the whole sweep. The error carries the recovered value
-// and a trimmed stack so shaken-out bugs stay diagnosable from a batch
-// report. Cancelling ctx (deadline or explicit) aborts the in-flight
-// compilation at the backend's next II checkpoint; the returned error
-// then wraps ctx.Err(), so callers classify timeouts with errors.Is.
-func CompileSafe(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine) (r *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			stack := debug.Stack()
-			if len(stack) > 2048 {
-				stack = stack[:2048]
-			}
-			r, err = nil, fmt.Errorf("core: panic compiling loop %q: %v\n%s", l.Name, p, stack)
-		}
-	}()
-	return CompileWithContext(ctx, s, l, m)
-}
-
-// CompileWith is Compile with an explicit scheduler backend and no
-// cancellation — the signature test and benchmark callers use when no
-// deadline applies. It is CompileWithContext with a background context.
-func CompileWith(s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, error) {
-	return CompileWithContext(context.Background(), s, l, m)
-}
-
-// CompileWithContext runs the full pipeline with an explicit scheduler
-// backend under a cancellable context: it builds the dependence graph,
-// computes MII, schedules, validates and analyses register pressure.
-// The context is threaded into the backend via sched.Request.Ctx, so a
-// deadline cancels an in-flight II search instead of abandoning its
-// goroutine. The returned schedule is guaranteed Validate-clean:
-// regpress.Analyze re-validates backend output, so a buggy backend is
-// caught at this boundary rather than downstream.
-func CompileWithContext(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, error) {
-	return CompileWithOpts(ctx, s, l, m, Opts{})
-}
-
-// CompileWithOpts is CompileWithContext with explicit Opts; see Opts for
-// what each knob does.
-func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (*Result, error) {
-	if s == nil {
+	switch {
+	case s == nil:
 		return nil, fmt.Errorf("core: nil scheduler")
+	case l == nil:
+		return nil, fmt.Errorf("core: nil loop")
+	case m == nil:
+		return nil, fmt.Errorf("core: nil machine")
 	}
+	name := l.Name
+	defer func() {
+		if p := recover(); p != nil {
+			stack := debug.Stack()
+			if len(stack) > 2048 {
+				stack = stack[:2048]
+			}
+			r, err = nil, fmt.Errorf("core: panic compiling loop %q: %v\n%s", name, p, stack)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -210,9 +166,6 @@ func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	mii, err := sched.ComputeMII(g, m)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Portfolio {
-		s = Portfolio()
 	}
 	req := &sched.Request{Ctx: ctx, Loop: l, Machine: m, Graph: g, MII: &mii, Recorder: opts.Recorder}
 	var out *sched.Schedule
@@ -277,8 +230,8 @@ func Opt(budget int64) sched.Scheduler {
 // with a doubled force budget vs MIRS with the fewest-uses victim
 // policy, best result kept by the deterministic (fits, II, MaxLive,
 // spill traffic) order. It is not part of Backends() — quality gates
-// compare the individual backends — but `msched run -backend portfolio`
-// and Opts.Portfolio compile through it.
+// compare the individual backends — but `msched run -backends portfolio`
+// compiles through it.
 func Portfolio() sched.Scheduler {
 	return search.DefaultPortfolio()
 }

@@ -1,21 +1,28 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
+
+// compile is CompileSafeWith with a background context and default Opts.
+func compile(s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, error) {
+	return CompileSafeWith(context.Background(), s, l, m, Opts{})
+}
 
 func TestCompileAllExamplesOnBothMachines(t *testing.T) {
 	for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster()} {
 		for _, l := range ir.ExampleLoops() {
 			t.Run(m.Name+"/"+l.Name, func(t *testing.T) {
-				r, err := Compile(l, m)
+				r, err := compile(sched.ListScheduler{}, l, m)
 				if err != nil {
-					t.Fatalf("Compile: %v", err)
+					t.Fatalf("compile: %v", err)
 				}
 				if err := r.Schedule.Validate(); err != nil {
 					t.Errorf("schedule invalid: %v", err)
@@ -35,7 +42,7 @@ func TestCompileAllExamplesOnBothMachines(t *testing.T) {
 }
 
 // failingScheduler returns an intentionally broken schedule to prove
-// CompileWith re-validates backend output.
+// CompileSafeWith re-validates backend output.
 type failingScheduler struct{}
 
 func (failingScheduler) Name() string { return "broken" }
@@ -57,15 +64,32 @@ func (failingScheduler) Schedule(req *sched.Request) (*sched.Schedule, error) {
 }
 
 func TestCompileWithRejectsInvalidBackendOutput(t *testing.T) {
-	_, err := CompileWith(failingScheduler{}, ir.DotProduct(), machine.Unified())
+	_, err := compile(failingScheduler{}, ir.DotProduct(), machine.Unified())
 	if err == nil || !strings.Contains(err.Error(), "invalid schedule") {
 		t.Errorf("want invalid-schedule error, got %v", err)
 	}
 }
 
-func TestCompileWithNilScheduler(t *testing.T) {
-	if _, err := CompileWith(nil, ir.DotProduct(), machine.Unified()); err == nil {
-		t.Error("CompileWith(nil) succeeded")
+// TestCompileNilInputs: a nil scheduler, loop or machine is an ordinary
+// error, returned before compiling — never a panic, recovered or not.
+func TestCompileNilInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    sched.Scheduler
+		l    *ir.Loop
+		m    *machine.Machine
+		want string
+	}{
+		{"nil-loop", mirs.New(), nil, machine.Unified(), "core: nil loop"},
+		{"nil-machine", mirs.New(), ir.DotProduct(), nil, "core: nil machine"},
+		{"nil-scheduler", nil, ir.DotProduct(), machine.Unified(), "core: nil scheduler"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := CompileSafeWith(context.Background(), tc.s, tc.l, tc.m, Opts{})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("got (%v, %v), want error %q", r, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -81,10 +105,10 @@ func TestBackendsRunFullCorpus(t *testing.T) {
 		for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 			for _, l := range ir.ExampleLoops() {
 				t.Run(be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
-					r, err := CompileWith(be, l, m)
+					r, err := compile(be, l, m)
 					if err != nil {
 						if be.Name() == "mirs" {
-							t.Fatalf("CompileWith: %v", err)
+							t.Fatalf("compile: %v", err)
 						}
 						t.Skipf("baseline cannot schedule: %v", err)
 					}
@@ -104,7 +128,7 @@ func TestCompileRejectsUnschedulableLoop(t *testing.T) {
 	l := &ir.Loop{Name: "fp", Instrs: []*ir.Instruction{
 		{ID: 0, Op: "sqrt", Class: machine.OpClass("fpu"), Defs: []ir.VReg{0}},
 	}}
-	if _, err := Compile(l, machine.Unified()); err == nil {
-		t.Error("Compile accepted a loop with an unsupported op class")
+	if _, err := compile(sched.ListScheduler{}, l, machine.Unified()); err == nil {
+		t.Error("compile accepted a loop with an unsupported op class")
 	}
 }

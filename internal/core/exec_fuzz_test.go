@@ -17,7 +17,7 @@ import (
 func execAgreeOn(t *testing.T, l *ir.Loop, m *machine.Machine) {
 	t.Helper()
 	for _, be := range Backends() {
-		r, err := CompileWith(be, l, m)
+		r, err := compile(be, l, m)
 		if err != nil {
 			continue
 		}

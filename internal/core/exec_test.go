@@ -39,7 +39,7 @@ func TestExecAllBackendsAgree(t *testing.T) {
 		for _, m := range []*machine.Machine{machine.Unified(), machine.Tight()} {
 			for _, be := range backends {
 				t.Run(l.Name+"/"+m.Name+"/"+be.Name(), func(t *testing.T) {
-					r, err := CompileWith(be, l, m)
+					r, err := compile(be, l, m)
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
@@ -81,7 +81,7 @@ func TestExecAllBackendsAgree(t *testing.T) {
 func TestCompileExecVerifies(t *testing.T) {
 	l, m := ir.FIR8(), machine.Tight()
 	for _, be := range Backends() {
-		r, err := CompileWithOpts(context.Background(), be, l, m, Opts{Exec: true})
+		r, err := CompileSafeWith(context.Background(), be, l, m, Opts{Exec: true})
 		if err != nil {
 			t.Fatalf("%s: %v", be.Name(), err)
 		}
@@ -91,7 +91,7 @@ func TestCompileExecVerifies(t *testing.T) {
 		if !r.Verified.OK() {
 			t.Errorf("%s: differential mismatch:\n%s", be.Name(), r.Verified.String())
 		}
-		plain, err := CompileWith(be, l, m)
+		plain, err := compile(be, l, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func TestCompileExpandsEveryResult(t *testing.T) {
 	for _, be := range Backends() {
 		for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 			for _, l := range ir.ExampleLoops() {
-				r, err := CompileWith(be, l, m)
+				r, err := compile(be, l, m)
 				if err != nil {
 					continue // the baseline may fail on the tight machine; covered elsewhere
 				}
@@ -56,7 +56,7 @@ func TestMVEOnHighPressureLoops(t *testing.T) {
 	m := machine.Unified()
 	for _, l := range []*ir.Loop{ir.FIR8(), ir.Hydro()} {
 		t.Run(l.Name, func(t *testing.T) {
-			strict, err := CompileWith(mirs.New(), l, m)
+			strict, err := compile(mirs.New(), l, m)
 			if err != nil {
 				t.Fatalf("strict compile: %v", err)
 			}
@@ -104,7 +104,7 @@ func TestMVEOnHighPressureLoops(t *testing.T) {
 func TestMVERemovesRecurrencePenalty(t *testing.T) {
 	m := machine.Unified()
 	l := ir.LongChain()
-	strict, err := CompileWith(mirs.New(), l, m)
+	strict, err := compile(mirs.New(), l, m)
 	if err != nil {
 		t.Fatal(err)
 	}

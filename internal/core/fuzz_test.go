@@ -68,7 +68,7 @@ func loopFromBytes(data []byte) *ir.Loop {
 func agreeOn(t *testing.T, l *ir.Loop, m *machine.Machine) {
 	t.Helper()
 	for _, be := range Backends() {
-		r, err := CompileWith(be, l, m)
+		r, err := compile(be, l, m)
 		if err != nil {
 			continue // an unschedulable loop exercises nothing here
 		}

@@ -20,7 +20,7 @@ func TestTraceZeroPerturbation(t *testing.T) {
 		for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 			for _, l := range ir.ExampleLoops() {
 				t.Run(be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
-					plain, errPlain := CompileWith(be, l, m)
+					plain, errPlain := compile(be, l, m)
 					buf := &trace.Buffer{}
 					traced, errTraced := CompileSafeWith(context.Background(), be, l, m, Opts{Recorder: buf})
 					if (errPlain == nil) != (errTraced == nil) {

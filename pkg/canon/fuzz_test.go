@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ type resultFingerprint struct {
 
 func fingerprint(t *testing.T, l *ir.Loop) (resultFingerprint, bool) {
 	t.Helper()
-	r, err := core.CompileWith(sched.ListScheduler{}, l, machine.Unified())
+	r, err := core.CompileSafeWith(context.Background(), sched.ListScheduler{}, l, machine.Unified(), core.Opts{})
 	if err != nil {
 		return resultFingerprint{}, false
 	}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -50,7 +51,7 @@ func FuzzGenerate(f *testing.F) {
 				t.Fatalf("mii on %s: %v", m.Name, err)
 			}
 			for _, be := range core.Backends() {
-				r, err := core.CompileWith(be, l, m)
+				r, err := core.CompileSafeWith(context.Background(), be, l, m, core.Opts{})
 				if err != nil {
 					// The one declared failure: a kernel whose rotating
 					// copies have no tractable unroll. Bounded and clean

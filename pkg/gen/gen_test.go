@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // checkLoop asserts the full generated-loop contract: the loop validates,
 // its DDG builds with an acyclic intra-iteration subgraph, ComputeMII
 // terminates with a sane bound, and every registered backend compiles it
-// to a Validate-clean schedule (core.CompileWith re-validates and
+// to a Validate-clean schedule (core.CompileSafeWith re-validates and
 // expands) on every reference machine.
 func checkLoop(t *testing.T, l *ir.Loop) {
 	t.Helper()
@@ -37,7 +38,7 @@ func checkLoop(t *testing.T, l *ir.Loop) {
 			t.Fatalf("%s on %s: MII %d < 1", l.Name, m.Name, mii.MII)
 		}
 		for _, be := range core.Backends() {
-			r, err := core.CompileWith(be, l, m)
+			r, err := core.CompileSafeWith(context.Background(), be, l, m, core.Opts{})
 			if err != nil {
 				t.Fatalf("%s on %s by %s: %v", l.Name, m.Name, be.Name(), err)
 			}

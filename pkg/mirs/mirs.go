@@ -118,42 +118,18 @@ func (s *Scheduler) Name() string { return "mirs" }
 // O(log maxII) extra attempts instead of sweeping hundreds of IIs.
 const stagnationLimit = 10
 
-// Schedule implements sched.Scheduler. The returned schedule's Loop and
-// Graph are the (possibly spill-augmented) versions the placements refer
-// to; Stats reports spill_stores, spill_loads, ejections, and the
-// II increase attributable to register pressure (spill_ii_increase: final
-// II minus the smallest II at which a complete placement existed before
-// pressure was considered). When no II fits the register files (see the
-// package comment) the least overflowing complete schedule is returned
-// with its residual overflow in Stats["pressure_excess"]; the error path
-// is reserved for invalid input and loops with no complete schedule at
-// all.
-//
-// The II search is expressed as the sweep/attempter pair Probe exposes,
-// driven here strictly in order — the same machine pkg/sched/search
-// drives speculatively, so the parallel path's output is this one's by
-// construction.
+// Schedule implements sched.Scheduler: sched.Drive over Probe. The
+// returned schedule's Loop and Graph are the (possibly spill-augmented)
+// versions the placements refer to; Stats reports spill_stores,
+// spill_loads, ejections, and the II increase attributable to register
+// pressure (spill_ii_increase: final II minus the smallest II at which a
+// complete placement existed before pressure was considered). When no II
+// fits the register files (see the package comment) the least
+// overflowing complete schedule is returned with its residual overflow
+// in Stats["pressure_excess"]; the error path is reserved for invalid
+// input and loops with no complete schedule at all.
 func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) {
-	sw, at, err := s.probe(req)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		// Cancellation checkpoint: one II attempt is bounded work (the
-		// force budget caps backtracking, and state.poll bounds even
-		// that), so polling here keeps a timed-out compilation from
-		// finishing a search nobody awaits while costing nothing on the
-		// uncancellable batch path.
-		if err := req.Cancelled(); err != nil {
-			return nil, err
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
+	return sched.Drive(req, s)
 }
 
 // Probe implements sched.Prober: the MIRS II search as a candidate-keyed
@@ -162,57 +138,11 @@ func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) {
 // each attempter owns a full pooled scheduler state (MRT, pressure
 // tracker, window cache, spill-augmented loop clones), so attempters
 // never share mutable state (see the sched.Prober sharing contract).
-func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
-	sw, at, err := s.probe(req)
+func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, sched.Attempter, error) {
+	// The safe horizon doubled with headroom: spill code grows the loop.
+	g, mii, maxII, err := req.Prepare(func(h int) int { return 2*h + 8 })
 	if err != nil {
 		return nil, nil, err
-	}
-	return sw, func() sched.Attempter {
-		cp := *at
-		cp.st = nil // each attempter owns its pooled state; lazily built on first use
-		return &cp
-	}, nil
-}
-
-// probe performs the per-request analyses once and returns the concrete
-// sweep/attempter pair both Schedule and Probe drive.
-func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
-	if req == nil || req.Loop == nil || req.Machine == nil {
-		return nil, nil, fmt.Errorf("mirs: request missing loop or machine")
-	}
-	g := req.Graph
-	if g == nil {
-		var err error
-		g, err = ir.Build(req.Loop, req.Machine, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var mii sched.MII
-	if req.MII != nil {
-		mii = *req.MII
-	} else {
-		var err error
-		mii, err = sched.ComputeMII(g, req.Machine)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	maxII := req.MaxII
-	if maxII <= 0 {
-		// Safe horizon as in the list scheduler, doubled with headroom:
-		// spill code grows the loop, and every II past the bound trivially
-		// satisfies loop-carried edges, so the search always terminates.
-		// An explicit cap below MII is honoured as stated (and fails).
-		base := 1
-		bus := req.Machine.BusLatency()
-		for _, in := range req.Loop.Instrs {
-			base += req.Machine.Latency(in.Class) + bus + 1
-		}
-		maxII = 2*base + 8
-		if maxII < mii.MII {
-			maxII = mii.MII
-		}
 	}
 	maxSpills := s.opts.MaxSpills
 	if maxSpills < 0 {
@@ -223,10 +153,9 @@ func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
 		return nil, nil, err
 	}
 	sw := &iiSweep{
+		Cursor:     sched.Cursor{Cand: mii.MII, Max: maxII},
 		req:        req,
 		mii:        mii.MII,
-		maxII:      maxII,
-		next:       mii.MII,
 		bestExcess: -1,
 	}
 	at := &attempter{
@@ -245,11 +174,15 @@ func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
 // from MII, switching to geometric steps after stagnationLimit
 // consecutive overflowing candidates without improvement, tracking the
 // least overflowing complete schedule as the graceful-degradation
-// fallback. Candidate keys are the candidate IIs.
+// fallback. Candidate keys are the candidate IIs. The parallel engine
+// speculates linearly and does not predict the geometric jump — a
+// plateau deep enough to trigger it means every nearby candidate
+// overflows anyway, so the skipped attempts are wasted work, never
+// wrong answers.
 type iiSweep struct {
-	req   *sched.Request
-	mii   int
-	maxII int
+	sched.Cursor
+	req *sched.Request
+	mii int
 	// firstComplete is the smallest II at which a complete placement
 	// existed, pressure aside — the baseline for spill_ii_increase.
 	firstComplete int
@@ -257,52 +190,19 @@ type iiSweep struct {
 	bestExcess    int
 	bestII        int
 	stagnant      int
-	next          int
-	done          bool
 	out           *sched.Schedule
-	err           error
-}
-
-// Next implements sched.Sweep.
-func (w *iiSweep) Next() (int, bool) {
-	if w.done || w.next > w.maxII {
-		return 0, true
-	}
-	return w.next, false
-}
-
-// Speculate implements sched.Sweep: linear escalation is predicted
-// (next II, next+1, ...). The geometric stagnation jump is not — a
-// plateau deep enough to trigger it means every nearby candidate
-// overflows anyway, so the speculated attempts the jump skips are
-// wasted work the engine simply discards, never wrong answers.
-func (w *iiSweep) Speculate(dst []int, after, max int) []int {
-	if w.done {
-		return dst
-	}
-	for c := after + 1; c <= w.maxII && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
 }
 
 // Consume implements sched.Sweep, folding one candidate's attempt into
 // the search exactly as the pre-split sequential loop did.
 func (w *iiSweep) Consume(cand int, a sched.Attempt) {
-	if w.done || cand != w.next {
-		return
-	}
-	if a.Err != nil {
-		w.err, w.done = a.Err, true
-		return
-	}
 	if a.Completed && w.firstComplete == 0 {
 		w.firstComplete = cand
 	}
 	if a.Schedule != nil && a.Excess == 0 {
 		a.Schedule.AddStat("ii_over_mii", cand-w.mii)
 		a.Schedule.AddStat("spill_ii_increase", cand-w.firstComplete)
-		w.out, w.done = a.Schedule, true
+		w.out, w.Done = a.Schedule, true
 		return
 	}
 	if a.Schedule != nil {
@@ -319,20 +219,17 @@ func (w *iiSweep) Consume(cand int, a sched.Attempt) {
 		// copies, so it is always worth one attempt before settling
 		// for an overflowing schedule.
 		next := cand + 1 + cand/2
-		if next > w.maxII && cand < w.maxII {
-			next = w.maxII
+		if next > w.Max && cand < w.Max {
+			next = w.Max
 		}
-		w.next = next
+		w.Cand = next
 	} else {
-		w.next = cand + 1
+		w.Cand = cand + 1
 	}
 }
 
 // Result implements sched.Sweep.
 func (w *iiSweep) Result() (*sched.Schedule, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
 	if w.out != nil {
 		return w.out, nil
 	}
@@ -343,7 +240,7 @@ func (w *iiSweep) Result() (*sched.Schedule, error) {
 		return w.best, nil
 	}
 	return nil, fmt.Errorf("mirs: no valid schedule for loop %q on %q within II <= %d",
-		w.req.Loop.Name, w.req.Machine.Name, w.maxII)
+		w.req.Loop.Name, w.req.Machine.Name, w.Max)
 }
 
 // attempter runs one candidate II per call on its own pooled state,
@@ -359,6 +256,14 @@ type attempter struct {
 	height     []int
 	liveInUses [][]ir.VReg
 	st         *state
+}
+
+// Fork implements sched.Attempter: a copy with its own pooled state,
+// lazily built on first use.
+func (at *attempter) Fork() sched.Attempter {
+	cp := *at
+	cp.st = nil
+	return &cp
 }
 
 // AttemptII implements sched.Attempter: one candidate II on a freshly
@@ -418,7 +323,7 @@ func (at *attempter) AttemptII(ctx context.Context, ii int, rec trace.Recorder) 
 // II increases to spilling. A nil schedule with nil error means
 // "escalate II".
 func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
-	ii, m := st.ii, st.m
+	ii := st.ii
 	completed := false
 	for {
 		// Bounded cancellation latency inside the backtracking loop:
@@ -441,12 +346,7 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 			if err != nil {
 				return nil, completed, 0, fmt.Errorf("mirs: internal: %w", err)
 			}
-			excess := 0
-			for ci, ml := range press.MaxLivePerCluster {
-				if over := ml - m.Clusters[ci].RegFile.Size; over > 0 {
-					excess += over
-				}
-			}
+			excess := press.Excess()
 			if excess == 0 {
 				return out, completed, 0, nil
 			}

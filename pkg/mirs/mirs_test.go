@@ -1,10 +1,13 @@
 package mirs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/opt"
 	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
@@ -210,17 +213,57 @@ func TestMIRSOptions(t *testing.T) {
 	}
 }
 
-// TestMIRSRespectsMaxII: the II search must honour the request's cap,
-// including an explicit cap below MII (the two backends must agree on
-// the Request contract).
+// TestMIRSRespectsMaxII: every backend's II search must honour an
+// explicit Request.MaxII exactly — the shared sched.Request.Prepare
+// contract. A cap below MII fails; a cap at the uncapped II reproduces
+// it; a cap one below either fails naming that cap or (MIRS's graceful
+// degradation) returns a schedule within it — never one past it, which
+// is what substituting the safe horizon would produce.
 func TestMIRSRespectsMaxII(t *testing.T) {
-	_, err := New().Schedule(&sched.Request{Loop: ir.FIR8(), Machine: machine.Tight(), MaxII: 2})
-	if err == nil {
-		t.Error("MaxII=2 accepted for fir8 on tight; want an error")
-	}
-	_, err = New().Schedule(&sched.Request{Loop: ir.DotProduct(), Machine: machine.Unified(), MaxII: 1})
-	if err == nil {
-		t.Error("MaxII=1 (below MII=2) accepted for dotprod on unified; want an error")
+	for _, be := range []sched.Scheduler{sched.ListScheduler{}, New(), opt.New()} {
+		for _, c := range []struct {
+			l *ir.Loop
+			m *machine.Machine
+		}{
+			{ir.FIR8(), machine.Tight()},
+			{ir.DotProduct(), machine.Unified()},
+			{ir.Hydro(), machine.Paper4Cluster()},
+		} {
+			t.Run(be.Name()+"/"+c.l.Name+"/"+c.m.Name, func(t *testing.T) {
+				g, err := ir.Build(c.l, c.m, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mii, err := sched.ComputeMII(g, c.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				capped := func(maxII int) (*sched.Schedule, error) {
+					return be.Schedule(&sched.Request{Loop: c.l, Machine: c.m, MaxII: maxII})
+				}
+				if _, err := capped(mii.MII - 1); err == nil {
+					t.Fatalf("MaxII=%d (below MII=%d) accepted; want an error", mii.MII-1, mii.MII)
+				}
+				free, err := capped(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s, err := capped(free.II); err != nil || s.II != free.II {
+					t.Fatalf("MaxII=%d (the uncapped II): got %v, %v", free.II, s, err)
+				}
+				below := free.II - 1
+				if below < mii.MII {
+					return
+				}
+				s, err := capped(below)
+				switch {
+				case err != nil && !strings.Contains(err.Error(), fmt.Sprintf("II <= %d", below)):
+					t.Fatalf("MaxII=%d: error does not name the cap: %v", below, err)
+				case err == nil && s.II > below:
+					t.Fatalf("MaxII=%d: returned II=%d past the cap", below, s.II)
+				}
+			})
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/opt/sat"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
@@ -82,81 +81,22 @@ func New(opts ...Option) *Scheduler {
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return Name }
 
-// Schedule implements sched.Scheduler: the II sweep driven strictly in
-// order — the same sweep/attempter pair Probe exposes, so the parallel
-// path's output equals this one's by construction.
+// Schedule implements sched.Scheduler: sched.Drive over Probe.
 func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) {
-	sw, at, err := s.probe(req)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		if err := req.Cancelled(); err != nil {
-			return nil, err
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
+	return sched.Drive(req, s)
 }
 
 // Probe implements sched.Prober. The sweep and every attempter share
 // the analysis (graph, MII, unit tables, transfer groups) read-only;
-// each attempt builds a fresh solver, so attempters carry no mutable
-// state at all and the factory can hand out copies freely.
-func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
-	sw, at, err := s.probe(req)
+// each attempt builds a fresh solver, so the attempter carries no
+// mutable state at all.
+func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, sched.Attempter, error) {
+	g, mii, maxII, err := req.Prepare(nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sw, func() sched.Attempter {
-		cp := *at
-		return &cp
-	}, nil
-}
-
-// probe performs the per-request analyses once and returns the concrete
-// sweep/attempter pair both Schedule and Probe drive.
-func (s *Scheduler) probe(req *sched.Request) (*optSweep, *optAttempter, error) {
-	if req.Loop == nil || req.Machine == nil {
-		return nil, nil, fmt.Errorf("opt: request missing loop or machine")
-	}
-	g := req.Graph
-	if g == nil {
-		var err error
-		if g, err = ir.Build(req.Loop, req.Machine, nil); err != nil {
-			return nil, nil, err
-		}
-	}
-	mii := sched.MII{}
-	if req.MII != nil {
-		mii = *req.MII
-	} else {
-		var err error
-		if mii, err = sched.ComputeMII(g, req.Machine); err != nil {
-			return nil, nil, err
-		}
-	}
-	maxII := req.MaxII
-	if maxII <= 0 {
-		// The same safe horizon the list baseline uses: past it a serial
-		// schedule always exists, so the sweep terminates.
-		maxII = 1
-		bus := req.Machine.BusLatency()
-		for _, in := range req.Loop.Instrs {
-			maxII += req.Machine.Latency(in.Class) + bus + 1
-		}
-		if maxII < mii.MII {
-			maxII = mii.MII
-		}
-	}
-	ana := newAnalysis(req, g, mii, maxII)
-	sw := &optSweep{req: req, mii: mii.MII, maxII: maxII}
-	at := &optAttempter{ana: ana, budget: s.opts.Budget}
-	return sw, at, nil
+	sw := &optSweep{Cursor: sched.Cursor{Max: maxII - mii.MII}, req: req, maxII: maxII}
+	return sw, &optAttempter{ana: newAnalysis(req, g, mii, maxII), budget: s.opts.Budget}, nil
 }
 
 // optSweep is the exact backend's II search state: candidate key k is
@@ -164,40 +104,14 @@ func (s *Scheduler) probe(req *sched.Request) (*optSweep, *optAttempter, error) 
 // the certificates: UNSAT answers below the final II (the optimality
 // proof) and budget-exhausted unknowns (the holes in it).
 type optSweep struct {
+	sched.Cursor
 	req   *sched.Request
-	mii   int
 	maxII int
-
-	next int
-	done bool
-	out  *sched.Schedule
-	err  error
+	out   *sched.Schedule
 
 	unsatBelow     int
 	unknownBelow   int
 	conflictsBelow int
-}
-
-func (w *optSweep) span() int { return w.maxII - w.mii }
-
-// Next implements sched.Sweep.
-func (w *optSweep) Next() (int, bool) {
-	if w.done || w.next > w.span() {
-		return 0, true
-	}
-	return w.next, false
-}
-
-// Speculate implements sched.Sweep: the sweep always advances by one,
-// so prediction is exact up to the horizon.
-func (w *optSweep) Speculate(dst []int, after, max int) []int {
-	if w.done {
-		return dst
-	}
-	for c := after + 1; c <= w.span() && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
 }
 
 // Consume implements sched.Sweep. The attempt vocabulary (see
@@ -207,13 +121,6 @@ func (w *optSweep) Speculate(dst []int, after, max int) []int {
 // conflicts spent in Excess (safe: Attempt.Success needs a schedule, so
 // the search engine can never mistake them for a win).
 func (w *optSweep) Consume(cand int, a sched.Attempt) {
-	if w.done || cand != w.next {
-		return
-	}
-	if a.Err != nil {
-		w.err, w.done = a.Err, true
-		return
-	}
 	if a.Schedule != nil {
 		a.Schedule.AddStat("ii_over_mii", cand)
 		a.Schedule.AddStat("opt_unsat_below", w.unsatBelow)
@@ -224,7 +131,7 @@ func (w *optSweep) Consume(cand int, a sched.Attempt) {
 		}
 		a.Schedule.AddStat("opt_proved", proved)
 		a.Schedule.AddStat("opt_conflicts", w.conflictsBelow)
-		w.out, w.done = a.Schedule, true
+		w.out, w.Done = a.Schedule, true
 		return
 	}
 	if a.Completed {
@@ -233,14 +140,11 @@ func (w *optSweep) Consume(cand int, a sched.Attempt) {
 		w.unknownBelow++
 	}
 	w.conflictsBelow += a.Excess
-	w.next++
+	w.Cand++
 }
 
 // Result implements sched.Sweep.
 func (w *optSweep) Result() (*sched.Schedule, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
 	if w.out != nil {
 		return w.out, nil
 	}
@@ -255,6 +159,10 @@ type optAttempter struct {
 	ana    *analysis
 	budget int64
 }
+
+// Fork implements sched.Attempter: attempts never mutate the
+// attempter, so every worker can share this one.
+func (at *optAttempter) Fork() sched.Attempter { return at }
 
 // AttemptII implements sched.Attempter. Outcome vocabulary:
 //

@@ -57,13 +57,20 @@ type Result struct {
 // the machine the schedule was computed for: every cluster's MaxLive is
 // at most the cluster's register-file size. A schedule that does not fit
 // needs spilling (or a larger II) before register allocation can succeed.
-func (r *Result) Fits() bool {
-	for ci := range r.MaxLivePerCluster {
-		if r.MaxLivePerCluster[ci] > r.Machine.Clusters[ci].RegFile.Size {
-			return false
+func (r *Result) Fits() bool { return r.Excess() == 0 }
+
+// Excess is the summed per-cluster register overflow,
+// Σ max(0, MaxLivePerCluster[c] − RegFile[c].Size): zero exactly when the
+// schedule fits, otherwise how many registers too many the files would
+// need to hold at once.
+func (r *Result) Excess() int {
+	excess := 0
+	for ci, ml := range r.MaxLivePerCluster {
+		if over := ml - r.Machine.Clusters[ci].RegFile.Size; over > 0 {
+			excess += over
 		}
 	}
-	return true
+	return excess
 }
 
 // Analyze computes the pressure profile of a valid schedule. It returns

@@ -25,31 +25,12 @@ type ListScheduler struct{}
 // Name returns "list".
 func (ListScheduler) Name() string { return "list" }
 
-// Schedule implements Scheduler. The produced schedule always passes
-// Schedule.Validate; it returns an error only for invalid input (bad
-// loop/graph, unsupported op class, intra-iteration cycle) or when the
-// II search exceeds Request.MaxII.
-//
-// The search is expressed as the sweep/attempter pair Probe exposes,
-// driven here strictly in order — the same machine pkg/sched/search
-// drives speculatively, so the parallel path's output is this one's by
-// construction.
+// Schedule implements Scheduler: Drive over Probe. The produced
+// schedule always passes Schedule.Validate; it returns an error only for
+// invalid input (bad loop/graph, unsupported op class, intra-iteration
+// cycle) or when the II search exceeds Request.MaxII.
 func (ls ListScheduler) Schedule(req *Request) (*Schedule, error) {
-	sw, at, err := ls.probe(req)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		if err := req.Cancelled(); err != nil {
-			return nil, err
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
+	return Drive(req, ls)
 }
 
 // Probe implements Prober: the list scheduler's II search as a
@@ -59,29 +40,8 @@ func (ls ListScheduler) Schedule(req *Request) (*Schedule, error) {
 // covers the loop. The sweep and every attempter share the graph and
 // the placement order read-only; each attempter owns its reservation
 // table and placement scratch.
-func (ls ListScheduler) Probe(req *Request) (Sweep, func() Attempter, error) {
-	sw, at, err := ls.probe(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sw, func() Attempter {
-		cp := *at
-		cp.sc = nil // each attempter owns its scratch; lazily sized on first use
-		return &cp
-	}, nil
-}
-
-// probe performs the per-request analyses once and returns the concrete
-// sweep/attempter pair both Schedule and Probe drive.
-func (ls ListScheduler) probe(req *Request) (*listSweep, *listAttempter, error) {
-	if req.Loop == nil || req.Machine == nil {
-		return nil, nil, fmt.Errorf("sched: list: request missing loop or machine")
-	}
-	g, err := req.graph()
-	if err != nil {
-		return nil, nil, err
-	}
-	mii, err := req.mii(g)
+func (ls ListScheduler) Probe(req *Request) (Sweep, Attempter, error) {
+	g, mii, maxII, err := req.Prepare(nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,37 +49,13 @@ func (ls ListScheduler) probe(req *Request) (*listSweep, *listAttempter, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	maxII := req.MaxII
-	if maxII <= 0 {
-		// Safe horizon: flat start cycles are bounded by the sum of all
-		// effective latencies plus one resource stall per instruction,
-		// and any II past that bound satisfies every loop-carried edge,
-		// so the search always terminates.
-		maxII = 1
-		bus := req.Machine.BusLatency()
-		for _, in := range req.Loop.Instrs {
-			maxII += req.Machine.Latency(in.Class) + bus + 1
-		}
-		if maxII < mii.MII {
-			maxII = mii.MII
-		}
+	span := maxII - mii.MII
+	fallback := soleClusterFor(req)
+	sw := &listSweep{Cursor: Cursor{Max: span}, req: req, mii: mii.MII, span: span}
+	if fallback >= 0 {
+		sw.Max = 2*span + 1
 	}
-	sw := &listSweep{
-		req:      req,
-		mii:      mii.MII,
-		maxII:    maxII,
-		span:     maxII - mii.MII,
-		fallback: soleClusterFor(req),
-	}
-	at := &listAttempter{
-		ls:       ls,
-		req:      req,
-		g:        g,
-		mii:      mii.MII,
-		span:     sw.span,
-		fallback: sw.fallback,
-		order:    order,
-	}
+	at := &listAttempter{ls: ls, req: req, g: g, mii: mii.MII, span: span, fallback: fallback, order: order}
 	return sw, at, nil
 }
 
@@ -135,85 +71,33 @@ func (ls ListScheduler) probe(req *Request) (*listSweep, *listAttempter, error) 
 // dependences the bus constraint is vacuous, so a serial schedule
 // always exists at some II within the horizon.
 type listSweep struct {
-	req      *Request
-	mii      int
-	maxII    int
-	span     int // maxII - mii: candidate keys per phase, minus one
-	fallback int // sole covering cluster for phase two, or -1
-	next     int
-	done     bool
-	out      *Schedule
-	err      error
-}
-
-// maxKey is the last candidate key of the search.
-func (w *listSweep) maxKey() int {
-	if w.fallback < 0 {
-		return w.span
-	}
-	return 2*w.span + 1
-}
-
-// decode maps a candidate key to its (II, restricted-cluster) pair;
-// onlyCluster is -1 in the normal phase.
-func (w *listSweep) decode(cand int) (ii, onlyCluster int) {
-	if cand <= w.span {
-		return w.mii + cand, -1
-	}
-	return w.mii + cand - w.span - 1, w.fallback
-}
-
-// Next implements Sweep.
-func (w *listSweep) Next() (int, bool) {
-	if w.done || w.next > w.maxKey() {
-		return 0, true
-	}
-	return w.next, false
-}
-
-// Speculate implements Sweep: the list search always advances by one
-// key, so prediction is exact up to the horizon.
-func (w *listSweep) Speculate(dst []int, after, max int) []int {
-	if w.done {
-		return dst
-	}
-	for c := after + 1; c <= w.maxKey() && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
+	Cursor
+	req  *Request
+	mii  int
+	span int // maxII - mii: candidate keys per phase, minus one
+	out  *Schedule
 }
 
 // Consume implements Sweep.
 func (w *listSweep) Consume(cand int, a Attempt) {
-	if w.done || cand != w.next {
+	if a.Schedule == nil {
+		w.Cand++
 		return
 	}
-	if a.Err != nil {
-		w.err, w.done = a.Err, true
-		return
+	a.Schedule.AddStat("ii_over_mii", a.Schedule.II-w.mii)
+	if cand > w.span {
+		a.Schedule.AddStat("single_cluster_fallback", 1)
 	}
-	if a.Schedule != nil {
-		ii, only := w.decode(cand)
-		a.Schedule.AddStat("ii_over_mii", ii-w.mii)
-		if only >= 0 {
-			a.Schedule.AddStat("single_cluster_fallback", 1)
-		}
-		w.out, w.done = a.Schedule, true
-		return
-	}
-	w.next++
+	w.out, w.Done = a.Schedule, true
 }
 
 // Result implements Sweep.
 func (w *listSweep) Result() (*Schedule, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
 	if w.out != nil {
 		return w.out, nil
 	}
 	return nil, fmt.Errorf("sched: list: no valid schedule for loop %q on %q within II <= %d",
-		w.req.Loop.Name, w.req.Machine.Name, w.maxII)
+		w.req.Loop.Name, w.req.Machine.Name, w.mii+w.span)
 }
 
 // listAttempter runs one candidate key per call on its own scratch
@@ -228,6 +112,14 @@ type listAttempter struct {
 	fallback int
 	order    []int
 	sc       *listScratch
+}
+
+// Fork implements Attempter: a copy with its own scratch, lazily sized
+// on first use.
+func (at *listAttempter) Fork() Attempter {
+	cp := *at
+	cp.sc = nil
+	return &cp
 }
 
 // AttemptII implements Attempter. List attempts carry no backtracking,

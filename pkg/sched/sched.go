@@ -25,7 +25,7 @@ import (
 // Request bundles the inputs of a scheduling run.
 type Request struct {
 	// Ctx, when non-nil, carries the caller's cancellation signal into
-	// the II search: backends poll Request.Cancelled at every candidate
+	// the II search: Drive polls Request.Cancelled at every candidate
 	// II (the natural checkpoint — one II attempt is bounded work) and
 	// abandon the search with the context's error once it fires. A nil
 	// Ctx means "never cancelled" and costs nothing to poll, so batch
@@ -39,8 +39,8 @@ type Request struct {
 	// it with ir.Build's defaults; pass an explicit graph to add memory
 	// dependences or tune edge latencies.
 	Graph *ir.Graph
-	// MaxII caps the initiation-interval search. Zero means the
-	// scheduler picks a safe upper bound.
+	// MaxII caps the initiation-interval search, exactly as given.
+	// Zero means the scheduler picks a safe upper bound (see Prepare).
 	MaxII int
 	// MII optionally carries a precomputed ComputeMII result for Graph,
 	// so callers that already ran the analysis (e.g. the core facade)
@@ -59,9 +59,9 @@ type Request struct {
 // Cancelled reports the request's cancellation state: nil while the
 // request has no context or its context is still live, and the context
 // error (wrapped, so errors.Is sees context.Canceled or
-// context.DeadlineExceeded) once it fires. Backends call it between
-// candidate IIs so a timed-out compilation returns promptly instead of
-// finishing a search nobody is waiting for.
+// context.DeadlineExceeded) once it fires. The II-search drivers call
+// it between candidate IIs so a timed-out compilation returns promptly
+// instead of finishing a search nobody is waiting for.
 func (r *Request) Cancelled() error {
 	if r.Ctx == nil {
 		return nil
@@ -70,22 +70,6 @@ func (r *Request) Cancelled() error {
 		return fmt.Errorf("sched: request cancelled: %w", err)
 	}
 	return nil
-}
-
-// mii returns the request's MII bound, computing it on demand.
-func (r *Request) mii(g *ir.Graph) (MII, error) {
-	if r.MII != nil {
-		return *r.MII, nil
-	}
-	return ComputeMII(g, r.Machine)
-}
-
-// graph returns the request's dependence graph, building it on demand.
-func (r *Request) graph() (*ir.Graph, error) {
-	if r.Graph != nil {
-		return r.Graph, nil
-	}
-	return ir.Build(r.Loop, r.Machine, nil)
 }
 
 // Scheduler is the pluggable modulo-scheduler interface. Implementations

@@ -165,14 +165,9 @@ func qualityOf(s *sched.Schedule) (quality, error) {
 	if err != nil {
 		return quality{}, err
 	}
-	k := quality{ii: s.II, spills: s.Stats["spill_stores"] + s.Stats["spill_loads"]}
-	for ci, ml := range press.MaxLivePerCluster {
-		if ml > k.maxLive {
-			k.maxLive = ml
-		}
-		if over := ml - s.Machine.Clusters[ci].RegFile.Size; over > 0 {
-			k.excess += over
-		}
+	k := quality{excess: press.Excess(), ii: s.II, spills: s.Stats["spill_stores"] + s.Stats["spill_loads"]}
+	for _, ml := range press.MaxLivePerCluster {
+		k.maxLive = max(k.maxLive, ml)
 	}
 	return k, nil
 }

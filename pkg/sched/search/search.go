@@ -4,16 +4,17 @@
 // The backends expose their searches through sched.Prober: a
 // deterministic state machine (sched.Sweep) plus a pure per-candidate
 // attempt function (sched.Attempter). Run drives the sweep exactly the
-// way the sequential backends do — candidates consumed strictly in the
-// order the sweep asks for them — but *attempts* candidates
-// speculatively on a pool of workers, each worker on its own pooled
-// scheduler state with its own trace buffer. Because the sweep only ever
-// sees attempts for the candidates it requested, in request order, and
-// each attempt is a pure function of (request, candidate), the schedule,
-// its stats, and its trace are identical to the sequential sweep's,
-// whichever order the goroutines finish in. Speculation shows up only as
-// wall-clock speedup and as wasted attempts — never as a different
-// answer.
+// way sched.Drive does — candidates consumed strictly in the order the
+// sweep asks for them — but *attempts* candidates speculatively on a
+// pool of workers, each worker on its own attempter (the probe's first
+// one, or a Fork of it) with its own trace buffer. Speculation is
+// linear: after the candidate the sweep needs, the next ones up to the
+// sweep's Last key. Because the sweep only ever sees attempts for the
+// candidates it requested, in request order, and each attempt is a pure
+// function of (request, candidate), the schedule, its stats, and its
+// trace are identical to the sequential sweep's, whichever order the
+// goroutines finish in. Speculation shows up only as wall-clock speedup
+// and as wasted attempts — never as a different answer.
 //
 // When a speculative attempt *succeeds* at candidate k, the engine
 // cancels the in-flight probes at candidates above k and stops
@@ -61,19 +62,19 @@ func (s *Stats) Add(other Stats) {
 
 // Run executes p's II search for req with up to probes concurrent
 // speculative attempts and returns the schedule the sequential
-// p.Schedule(req) would return, byte-identical — placements, stats and
-// trace events included. probes <= 1 falls through to the sequential
-// path with zero goroutines and zero Stats.
+// sched.Drive(req, p) would return, byte-identical — placements, stats
+// and trace events included. probes <= 1 is sched.Drive itself, with
+// zero goroutines and zero Stats.
 func Run(req *sched.Request, p sched.Prober, probes int) (*sched.Schedule, Stats, error) {
 	if probes <= 1 {
-		s, err := p.Schedule(req)
+		s, err := sched.Drive(req, p)
 		return s, Stats{}, err
 	}
-	sw, mk, err := p.Probe(req)
+	sw, at, err := p.Probe(req)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	ln := newLauncher(req, sw, mk, probes)
+	ln := newLauncher(req, sw, at, probes)
 	// The defer covers panics out of run; the explicit call before
 	// reading stats matters because shutdown still drains (and counts)
 	// the probes the final success cancelled.
@@ -121,7 +122,6 @@ type launcher struct {
 
 	issued   map[int]*launch // candidates attempted right now
 	buffered map[int]outcome // completed attempts the sweep has not consumed yet
-	spec     []int           // scratch for Sweep.Speculate
 	// pruneAbove, when > 0, is the lowest candidate known to have
 	// succeeded among buffered outcomes at or above the sweep's cursor:
 	// no probe launches above it and in-flight probes above it are
@@ -131,7 +131,7 @@ type launcher struct {
 	shut       bool
 }
 
-func newLauncher(req *sched.Request, sw sched.Sweep, mk func() sched.Attempter, probes int) *launcher {
+func newLauncher(req *sched.Request, sw sched.Sweep, first sched.Attempter, probes int) *launcher {
 	l := &launcher{
 		req:    req,
 		sw:     sw,
@@ -149,13 +149,17 @@ func newLauncher(req *sched.Request, sw sched.Sweep, mk func() sched.Attempter, 
 		base = context.Background()
 	}
 	for i := 0; i < probes; i++ {
+		// One attempter per worker: the pooled scheduler state is
+		// mutable and single-goroutine by contract, and forks build it
+		// lazily, so idle workers cost nothing. Forking here, before any
+		// work is sent, orders every copy before the first attempt.
+		at := first
+		if i > 0 {
+			at = first.Fork()
+		}
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
-			// One attempter per worker: the pooled scheduler state is
-			// mutable and single-goroutine by contract, and building it
-			// lazily in the factory means idle workers cost nothing.
-			at := mk()
 			for w := range l.work {
 				att := at.AttemptII(w.ctx, w.cand, recOf(w.buf))
 				// An error caused by the per-probe cancel (and not by
@@ -181,8 +185,8 @@ func (l *launcher) run() (*sched.Schedule, error) {
 		if done {
 			return l.sw.Result()
 		}
-		// Same checkpoint the sequential drivers poll between attempts,
-		// so a cancelled request errors out at the same point in the
+		// Same checkpoint sched.Drive polls between attempts, so a
+		// cancelled request errors out at the same point in the
 		// candidate order.
 		if err := l.req.Cancelled(); err != nil {
 			return nil, err
@@ -196,6 +200,9 @@ func (l *launcher) run() (*sched.Schedule, error) {
 		if o, ok := l.buffered[cand]; ok {
 			delete(l.buffered, cand)
 			l.replay(o.buf)
+			if o.att.Err != nil {
+				return nil, o.att.Err
+			}
 			l.sw.Consume(cand, o.att)
 			continue
 		}
@@ -205,14 +212,12 @@ func (l *launcher) run() (*sched.Schedule, error) {
 }
 
 // fill tops the in-flight set up to capacity: the needed candidate
-// first, then speculation in sweep-predicted order, skipping candidates
-// already issued or buffered and never launching above pruneAbove.
+// first, then the probes-1 candidates after it (up to the sweep's Last
+// key), skipping candidates already issued or buffered and never
+// launching above pruneAbove.
 func (l *launcher) fill(needed int) {
-	if len(l.issued) >= l.probes {
-		return
-	}
-	l.spec = l.sw.Speculate(l.spec[:0], needed-1, l.probes)
-	for _, c := range l.spec {
+	end := min(needed+l.probes-1, l.sw.Last())
+	for c := needed; c <= end; c++ {
 		if len(l.issued) >= l.probes {
 			return
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/mirs"
+	"github.com/paper-repo-growth/mirs/pkg/opt"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
@@ -66,19 +67,31 @@ func tracesEqual(t *testing.T, label string, a, b *trace.Buffer) {
 }
 
 // TestRunMatchesSequential is the differential gate of the whole layer:
-// across backends × machines × the gen corpus, a speculative run at 8
-// probes must reproduce the sequential sweep bit for bit — schedule,
-// stats, and the complete trace-event stream.
+// across all three backends × machines × the gen corpus, a speculative
+// run at 8 probes must reproduce the sequential sweep bit for bit —
+// schedule, stats, and the complete trace-event stream. The exact
+// backend only sees loops of at most 12 ops (the gap corpus's bound),
+// which keeps its per-candidate SAT solves short.
 func TestRunMatchesSequential(t *testing.T) {
 	machines := []*machine.Machine{machine.Unified(), machine.Tight()}
-	backends := []sched.Prober{sched.ListScheduler{}, mirs.New()}
+	backends := []struct {
+		be     sched.Prober
+		maxOps int
+	}{
+		{sched.ListScheduler{}, 0},
+		{mirs.New(), 0},
+		{opt.New(), 12},
+	}
 	loops := gen.Corpus(1, corpusSize())
 	for _, m := range machines {
-		for _, be := range backends {
-			be, m := be, m
+		for _, b := range backends {
+			be, maxOps, m := b.be, b.maxOps, m
 			t.Run(fmt.Sprintf("%s/%s", be.Name(), m.Name), func(t *testing.T) {
 				t.Parallel()
 				for _, l := range loops {
+					if maxOps > 0 && l.NumInstrs() > maxOps {
+						continue
+					}
 					var seqBuf, parBuf trace.Buffer
 					seq, seqErr := be.Schedule(&sched.Request{Loop: l, Machine: m, Recorder: &seqBuf})
 					par, pstats, parErr := Run(&sched.Request{Loop: l, Machine: m, Recorder: &parBuf}, be, 8)
@@ -134,51 +147,24 @@ type fakeProber struct {
 func (f *fakeProber) Name() string { return "fake" }
 
 func (f *fakeProber) Schedule(req *sched.Request) (*sched.Schedule, error) {
-	sw, mk, err := f.Probe(req)
-	if err != nil {
-		return nil, err
-	}
-	at := mk()
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
+	return sched.Drive(req, f)
 }
 
-func (f *fakeProber) Probe(_ *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
-	return &fakeSweep{}, func() sched.Attempter { return &fakeAttempter{} }, nil
+func (f *fakeProber) Probe(_ *sched.Request) (sched.Sweep, sched.Attempter, error) {
+	return &fakeSweep{Cursor: sched.Cursor{Max: 2}}, fakeAttempter{}, nil
 }
 
 type fakeSweep struct {
-	next int
-	done bool
-	out  *sched.Schedule
-}
-
-func (w *fakeSweep) Next() (int, bool) {
-	if w.done || w.next > 2 {
-		return 0, true
-	}
-	return w.next, false
-}
-
-func (w *fakeSweep) Speculate(dst []int, after, max int) []int {
-	for c := after + 1; c <= 2 && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
+	sched.Cursor
+	out *sched.Schedule
 }
 
 func (w *fakeSweep) Consume(cand int, a sched.Attempt) {
 	if a.Success() {
-		w.out, w.done = a.Schedule, true
+		w.out, w.Done = a.Schedule, true
 		return
 	}
-	w.next++
+	w.Cand++
 }
 
 func (w *fakeSweep) Result() (*sched.Schedule, error) {
@@ -189,6 +175,8 @@ func (w *fakeSweep) Result() (*sched.Schedule, error) {
 }
 
 type fakeAttempter struct{}
+
+func (at fakeAttempter) Fork() sched.Attempter { return at }
 
 func (fakeAttempter) AttemptII(ctx context.Context, cand int, _ trace.Recorder) sched.Attempt {
 	switch cand {
