@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill compare baseline serve loadtest trace exec lint fmt sloc
+.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill profile-exec compare baseline serve loadtest trace exec lint fmt sloc
 
 all: build test
 
@@ -47,6 +47,15 @@ profile-spill:
 	go run ./cmd/msched run -seed 1 -n 40 -corner storm,pressure -backends mirs -machines tight \
 		-workers 1 -cpuprofile spill_cpu.pprof -memprofile spill_mem.pprof
 	@echo "profiles: spill_cpu.pprof spill_mem.pprof (go tool pprof <file>)"
+
+# Profile the common case — the perfbench fit-exec population: 250
+# generated loops x list,mirs x unified,paper-4cluster, every schedule
+# emitted and differentially executed — where emission and the pkg/vm
+# oracle show next to scheduling; one worker.
+profile-exec:
+	go run ./cmd/msched run -exec -seed 1 -n 250 -backends list,mirs -machines unified,paper-4cluster \
+		-workers 1 -cpuprofile exec_cpu.pprof -memprofile exec_mem.pprof
+	@echo "profiles: exec_cpu.pprof exec_mem.pprof (go tool pprof <file>)"
 
 # Gate current quality (ΣII, ΣMaxLive) and throughput (allocs/op)
 # against the committed baseline — the same command CI runs.

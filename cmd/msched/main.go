@@ -20,9 +20,10 @@
 // `compare` recomputes the gated quality rows (examples corpus + a
 // pinned generated population, every backend × gate machine) and diffs
 // them against the committed baseline: any ΣII or ΣMaxLive regression
-// fails the gate (exit 1). It also benchmarks the "perf:examples" and
-// "perf:tight" rows — allocations per full-corpus compile, the tight
-// rows with MIRS spilling, gated with headroom
+// fails the gate (exit 1). It also benchmarks the "perf:examples",
+// "perf:tight" and "perf:exec" rows — allocations per full-corpus
+// compile, the tight rows with MIRS spilling, the exec rows with
+// differential execution, gated with headroom
 // (report.AllocHeadroom), plus informational loops/sec — so a hot-path
 // allocation regression fails CI the same way a quality regression
 // does; -no-perf skips that measurement. -update-baseline rewrites the
@@ -477,7 +478,7 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 120, "generated-population size (must match the baseline's)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
-	noPerf := fs.Bool("no-perf", false, "skip the benchmarked perf:examples/perf:tight rows (allocs/op gate)")
+	noPerf := fs.Bool("no-perf", false, "skip the benchmarked perf:examples/perf:tight/perf:exec rows (allocs/op gate)")
 	gap := fs.Bool("gap", false, "also build the optimality-gap table (opt vs mirs) and gate it vs -gap-baseline")
 	gapOnly := fs.Bool("gap-only", false, "run only the gap pipeline, skipping the quality and perf gates (implies -gap)")
 	gapBaseline := fs.String("gap-baseline", "GAP_baseline.json", "gap baseline to gate against")

@@ -20,7 +20,10 @@ import (
 // "perf:examples" covers the gate machines the corpus fits on;
 // "perf:tight" runs the same loops on the register-starved machine, so
 // MIRS's spill path (victim selection, spill materialisation, the
-// re-seat) is on the gated path too. The corpus labels keep these rows
+// re-seat) is on the gated path too; "perf:exec" compiles the
+// perf:examples grid with differential execution (core.Opts.Exec), so
+// the emitter and the pkg/vm oracle are on it as well — every
+// execution must verify clean. The corpus labels keep these rows
 // distinct from the driver-computed quality rows over the same loops;
 // quality sums are included too, so a perf row gates exactly like any
 // other row plus the allocation check.
@@ -29,13 +32,15 @@ func perfRows() (*report.File, error) {
 	for _, set := range []struct {
 		corpus   string
 		machines []*machine.Machine
+		opts     core.Opts
 	}{
-		{"perf:examples", []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}},
-		{"perf:tight", []*machine.Machine{machine.Tight()}},
+		{"perf:examples", []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}, core.Opts{}},
+		{"perf:tight", []*machine.Machine{machine.Tight()}, core.Opts{}},
+		{"perf:exec", []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}, core.Opts{Exec: true}},
 	} {
 		for _, be := range core.Backends() {
 			for _, m := range set.machines {
-				row, err := perfRow(set.corpus, be, m)
+				row, err := perfRow(set.corpus, be, m, set.opts)
 				if err != nil {
 					return nil, err
 				}
@@ -47,7 +52,7 @@ func perfRows() (*report.File, error) {
 }
 
 // perfRow benchmarks one backend × machine over the example corpus.
-func perfRow(corpus string, be sched.Scheduler, m *machine.Machine) (report.Row, error) {
+func perfRow(corpus string, be sched.Scheduler, m *machine.Machine, opts core.Opts) (report.Row, error) {
 	loops := ir.ExampleLoops()
 	var sumII, sumMaxLive, sumUnroll int
 	var firstErr error
@@ -56,7 +61,10 @@ func perfRow(corpus string, be sched.Scheduler, m *machine.Machine) (report.Row,
 		for i := 0; i < b.N; i++ {
 			sumII, sumMaxLive, sumUnroll = 0, 0, 0
 			for _, l := range loops {
-				r, err := core.CompileSafeWith(context.Background(), be, l, m, core.Opts{})
+				r, err := core.CompileSafeWith(context.Background(), be, l, m, opts)
+				if err == nil && r.Verified != nil && !r.Verified.OK() {
+					err = fmt.Errorf("execution mismatch:\n%s", r.Verified)
+				}
 				if err != nil {
 					if firstErr == nil {
 						firstErr = fmt.Errorf("%s on %s: %s: %w", be.Name(), m.Name, l.Name, err)

@@ -336,8 +336,13 @@ func TestBatchEndpoint(t *testing.T) {
 			t.Fatalf("results out of order: %v", resp.Results)
 		}
 	}
-	if last := resp.Results[3].Result; !last.Cached && !last.Coalesced {
-		t.Fatalf("duplicate body recompiled: %+v", last)
+	// Items 0 and 3 share a body and are dispatched concurrently, so
+	// either may lead. Exactly one compiles; the other is served from
+	// the cache or collapsed onto the leader.
+	first, dup := resp.Results[0].Result, resp.Results[3].Result
+	compiled := func(r *CompileResponse) bool { return !r.Cached && !r.Coalesced }
+	if compiled(first) == compiled(dup) {
+		t.Fatalf("duplicate bodies: want exactly one compiled, got item 0 %+v, item 3 %+v", first, dup)
 	}
 	if snap := s.Stats(); snap.Compilations != 3 || snap.Requests != 4 {
 		t.Fatalf("batch stats: %+v", snap)

@@ -24,8 +24,10 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -106,6 +108,21 @@ type Semantics struct {
 	ops     []opSem
 	histLen int
 	ek      *sched.ExpandedKernel
+	// maxSrcs is the most use operands any instruction has: the size of
+	// the executors' operand buffers.
+	maxSrcs int
+	// final lists every observable register's last defining site, in
+	// register order (see finalSites).
+	final []finalSite
+	// mem0 is the initial memory image; runs copy it, never write it.
+	mem0 []byte
+}
+
+// finalSite pairs an observable register with the definition whose
+// iteration trip-1 value is its live-out.
+type finalSite struct {
+	reg  ir.VReg
+	site int
 }
 
 // Bind derives the semantics of an expanded kernel's loop, sizing the
@@ -238,7 +255,12 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 			}
 			ord++
 		}
+		if len(in.Uses) > sem.maxSrcs {
+			sem.maxSrcs = len(in.Uses)
+		}
 	}
+	sem.final = finalSites(l)
+	sem.mem0 = sem.buildMemImage()
 	return sem, nil
 }
 
@@ -282,11 +304,18 @@ func (sem *Semantics) ObservableLen() int {
 	return (sem.NLoads + sem.NStores) * regionSize
 }
 
-// NewMemImage builds the initial memory: load regions filled with
-// seed-derived words, store regions zeroed, every spill-slot group
-// pre-set to the spilled register's initial value so reloads reaching
-// before iteration 0 observe exactly what the sequential dataflow does.
+// NewMemImage returns a fresh copy of the initial memory: load regions
+// filled with seed-derived words, store regions zeroed, every spill-slot
+// group pre-set to the spilled register's initial value so reloads
+// reaching before iteration 0 observe exactly what the sequential
+// dataflow does.
 func (sem *Semantics) NewMemImage() []byte {
+	return bytes.Clone(sem.mem0)
+}
+
+// buildMemImage computes the initial memory image NewMemImage copies;
+// bind calls it once per Semantics.
+func (sem *Semantics) buildMemImage() []byte {
 	mem := make([]byte, sem.MemLen())
 	for li := 0; li < sem.NLoads; li++ {
 		for w := 0; w < 64; w++ {
@@ -326,34 +355,34 @@ func (sem *Semantics) slotAddr(g, s int) int {
 }
 
 // eval computes one instruction instance's result and memory effect.
-// srcVal(j) supplies the value of use operand j; the caller owns where
-// that value comes from (dataflow history for the sequential executor,
+// src[j] is the value of use operand j; the caller owns where those
+// values come from (dataflow history for the sequential executor,
 // architectural registers for the pipelined one). The returned memory
 // write (addr >= 0) is the store the instance performs, which the caller
 // applies with its own timing.
-func (sem *Semantics) eval(mem []byte, id, i int, srcVal func(j int) uint64) (out uint64, wAddr int, wVal uint64) {
+func (sem *Semantics) eval(mem []byte, id, i int, src []uint64) (out uint64, wAddr int, wVal uint64) {
 	op := &sem.ops[id]
 	wAddr = -1
 	switch op.kind {
 	case opALU:
 		out = fold(op.token, uint64(i))
-		for j := range op.srcs {
-			out = fold(out, srcVal(j))
+		for _, v := range src {
+			out = fold(out, v)
 		}
 	case opLoad:
 		w := binary.LittleEndian.Uint64(mem[sem.loadAddr(op.memIdx, i, op.stride):])
 		out = fold(fold(op.token, uint64(i)), w)
-		for j := range op.srcs {
-			out = fold(out, srcVal(j))
+		for _, v := range src {
+			out = fold(out, v)
 		}
 	case opStore:
 		out = fold(op.token, uint64(i))
-		for j := range op.srcs {
-			out = fold(out, srcVal(j))
+		for _, v := range src {
+			out = fold(out, v)
 		}
 		wAddr, wVal = sem.storeAddr(op.memIdx, i, op.stride), out
 	case opSpillStore:
-		out = srcVal(0)
+		out = src[0]
 		wAddr, wVal = sem.slotAddr(op.memIdx, i%sem.K), out
 	case opSpillReload:
 		s := ((i-op.pairDist)%sem.K + sem.K) % sem.K
@@ -364,22 +393,25 @@ func (sem *Semantics) eval(mem []byte, id, i int, srcVal func(j int) uint64) (ou
 	return out, wAddr, wVal
 }
 
-// finalSites maps every observable register — one defined by at least
-// one non-spill instruction — to its last defining site in program
+// finalSites pairs every observable register — one defined by at least
+// one non-spill instruction — with its last defining site in program
 // order: the definition whose iteration trip-1 value is the register's
 // live-out. Spill-reload defs are fresh registers private to one
 // backend's spill choices and are deliberately excluded.
-func (sem *Semantics) finalSites() map[ir.VReg]int {
+func finalSites(l *ir.Loop) []finalSite {
 	sites := map[ir.VReg]int{}
-	for id, in := range sem.Loop.Instrs {
+	for id, in := range l.Instrs {
 		if in.Op == ir.OpSpillReload || in.Op == ir.OpSpillStore {
 			continue
 		}
 		for _, d := range in.Defs {
-			if last, ok := sites[d]; !ok || id > last {
-				sites[d] = id
-			}
+			sites[d] = id // program order: the last definition wins
 		}
 	}
-	return sites
+	out := make([]finalSite, 0, len(sites))
+	for v, site := range sites {
+		out = append(out, finalSite{v, site})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].reg < out[b].reg })
+	return out
 }

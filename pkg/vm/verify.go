@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
@@ -86,13 +89,19 @@ func Verify(ek *sched.ExpandedKernel, opts Options) (*Report, error) {
 }
 
 // VerifyProgram is Verify for callers that already emitted the program
-// (the exec explainer, which also wants the listing).
+// (the exec explainer, which also wants the listing). One machine image
+// serves every pipelined run, and one sequential run, snapshotted at
+// each requested trip in increasing order, serves as every reference.
 func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (*Report, error) {
 	seed := opts.Seed
 	if seed == 0 {
 		seed = DefaultSeed
 	}
 	sem, err := Bind(ek, seed)
+	if err != nil {
+		return nil, err
+	}
+	r, err := newRunner(sem, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -103,48 +112,79 @@ func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (
 		FrameSlots: len(prog.Frame),
 	}
 
-	ref, err := RunSequential(sem, prog.Trip)
-	if err != nil {
-		return nil, err
-	}
-	rep.SeqCycles = ref.Cycles
-
-	mve, err := RunProgram(sem, prog, ModeMVE, prog.Trip)
-	if err != nil {
-		return nil, err
-	}
-	rep.MVECycles = mve.Cycles
-	rep.Trips = append(rep.Trips, prog.Trip)
-	rep.Mismatches = append(rep.Mismatches, DiffStates("mve", mve, ref, len(ref.Mem))...)
-
-	trips := opts.PredTrips
-	if trips == nil {
+	extra := opts.PredTrips
+	if extra == nil {
 		// Shorter than the pipeline fill (every op squashes at least
 		// once) and one extra iteration past a pass boundary.
-		trips = []int{prog.Stages, prog.Trip + 1}
+		extra = []int{prog.Stages, prog.Trip + 1}
 	}
-	trips = append([]int{prog.Trip}, trips...)
-	seen := map[int]bool{}
+	// trips are the predicated runs in report order: the MVE trip first,
+	// then each valid extra trip once.
+	trips := make([]int, 1, 1+len(extra))
+	trips[0] = prog.Trip
+	for _, t := range extra {
+		if t >= 1 && !slices.Contains(trips, t) {
+			trips = append(trips, t)
+		}
+	}
+	sorted := slices.Clone(trips)
+	slices.Sort(sorted)
+	refs := make([]*State, len(sorted))
+	seq := newSeqRun(sem)
+	for k, t := range sorted {
+		seq.advance(t)
+		refs[k] = seq.snapshot()
+	}
+	ref := func(trip int) *State {
+		k, _ := slices.BinarySearch(sorted, trip)
+		return refs[k]
+	}
+
+	want := ref(prog.Trip)
+	rep.SeqCycles = want.Cycles
+	if err := r.run(ModeMVE, prog.Trip); err != nil {
+		return nil, err
+	}
+	rep.MVECycles = r.st.Cycles
+	rep.Trips = trips
+	rep.Mismatches = diff(rep.Mismatches, "mve", 0, &r.st, want)
 	for _, trip := range trips {
-		if trip < 1 || seen[trip] {
-			continue
-		}
-		seen[trip] = true
-		want := ref
-		if trip != prog.Trip {
-			if want, err = RunSequential(sem, trip); err != nil {
-				return nil, err
-			}
-		}
-		got, err := RunProgram(sem, prog, ModePredicated, trip)
-		if err != nil {
+		if err := r.run(ModePredicated, trip); err != nil {
 			return nil, err
 		}
-		if trip != prog.Trip {
-			rep.Trips = append(rep.Trips, trip)
-		}
-		rep.Mismatches = append(rep.Mismatches,
-			DiffStates(fmt.Sprintf("pred@%d", trip), got, want, len(want.Mem))...)
+		rep.Mismatches = diff(rep.Mismatches, "pred", trip, &r.st, ref(trip))
 	}
 	return rep, nil
+}
+
+// diff appends DiffStates's lines for got against want over want's whole
+// image, tagged plan or plan@trip when trip > 0. It skips building the
+// tag and lines when the states agree.
+func diff(dst []string, plan string, trip int, got, want *State) []string {
+	if same(got, want) {
+		return dst
+	}
+	if trip > 0 {
+		plan += "@" + strconv.Itoa(trip)
+	}
+	return append(dst, DiffStates(plan, got, want, len(want.Mem))...)
+}
+
+// same reports whether got and want agree on everything DiffStates
+// compares over want's whole image; when it does, DiffStates returns no
+// lines.
+func same(got, want *State) bool {
+	if got.Trip != want.Trip || len(got.Mem) < len(want.Mem) {
+		return false
+	}
+	words := len(want.Mem) &^ 7
+	if !bytes.Equal(got.Mem[:words], want.Mem[:words]) {
+		return false
+	}
+	for v, w := range want.RegFinal {
+		if g, ok := got.RegFinal[v]; !ok || g != w {
+			return false
+		}
+	}
+	return true
 }

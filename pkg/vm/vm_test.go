@@ -3,7 +3,9 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -250,6 +252,105 @@ func TestSequentialTripExtension(t *testing.T) {
 	if len(short.Mem) != len(long.Mem) {
 		t.Fatalf("memory image size depends on trip: %d vs %d", len(short.Mem), len(long.Mem))
 	}
+}
+
+// TestRunRejectsMalformedPrograms: the interpreter accepts any
+// hand-built program, so a result or bus transfer that would land in
+// the cycle it issues (or a transfer leaving before its result is
+// ready), or an operand outside the machine's locations, must be
+// refused with an error before executing — never hang, commit late,
+// panic or read another cluster's register. Each case runs under a
+// timeout.
+func TestRunRejectsMalformedPrograms(t *testing.T) {
+	cases := []struct {
+		name    string
+		machine *machine.Machine
+		edit    func(t *testing.T, prog *emit.Program)
+		want    string
+	}{
+		{"latency 0", machine.Unified(), func(t *testing.T, prog *emit.Program) {
+			for bi := range prog.Kernel {
+				for oi := range prog.Kernel[bi].Ops {
+					prog.Kernel[bi].Ops[oi].Latency = 0
+				}
+			}
+		}, "latency 0"},
+		{"delay 0", machine.Paper4Cluster(), func(t *testing.T, prog *emit.Program) {
+			firstXferOp(t, prog).Xfers[0].Delay = 0
+		}, "before its result is ready"},
+		{"delay below latency", machine.Paper4Cluster(), func(t *testing.T, prog *emit.Program) {
+			op := firstXferOp(t, prog)
+			op.Latency, op.Xfers[0].Delay = 2, 1
+		}, "before its result is ready"},
+		{"register beyond the file", machine.Paper4Cluster(), func(t *testing.T, prog *emit.Program) {
+			prog.Kernel[0].Ops[0].Defs[0].Index = prog.Machine.RegsPerCluster(0)
+		}, "not a location of the machine"},
+		{"frame slot beyond the frame", machine.Unified(), func(t *testing.T, prog *emit.Program) {
+			prog.Kernel[0].Ops[0].Defs[0] = emit.Loc{Frame: true, Index: len(prog.Frame)}
+		}, "not a location of the machine"},
+		{"unknown instruction", machine.Unified(), func(t *testing.T, prog *emit.Program) {
+			prog.Kernel[0].Ops[0].ID = prog.Loop.NumInstrs()
+		}, "is not an instruction"},
+		{"missing source", machine.Unified(), func(t *testing.T, prog *emit.Program) {
+			op := firstTwoSrcOp(t, prog)
+			op.Srcs = op.Srcs[:1]
+		}, "source locations"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ek, prog := compile(t, sched.ListScheduler{}, ir.DotProduct(), tc.machine)
+			tc.edit(t, prog)
+			sem, err := vm.Bind(ek, vm.DefaultSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, 2)
+			go func() {
+				_, err := vm.RunProgram(sem, prog, vm.ModePredicated, prog.Trip)
+				errs <- err
+				_, err = vm.VerifyProgram(ek, prog, vm.Options{})
+				errs <- err
+			}()
+			for _, call := range []string{"RunProgram", "VerifyProgram"} {
+				select {
+				case err := <-errs:
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("%s: error %v, want one naming %q", call, err, tc.want)
+					}
+				case <-time.After(3 * time.Second):
+					t.Fatalf("%s did not return within 3s", call)
+				}
+			}
+		})
+	}
+}
+
+// firstTwoSrcOp is the first kernel op of prog reading two operands.
+func firstTwoSrcOp(t *testing.T, prog *emit.Program) *emit.Op {
+	t.Helper()
+	for bi := range prog.Kernel {
+		for oi := range prog.Kernel[bi].Ops {
+			if op := &prog.Kernel[bi].Ops[oi]; len(op.Srcs) >= 2 {
+				return op
+			}
+		}
+	}
+	t.Fatal("program has no two-operand op")
+	return nil
+}
+
+// firstXferOp is the first kernel op of prog that makes a bus transfer.
+func firstXferOp(t *testing.T, prog *emit.Program) *emit.Op {
+	t.Helper()
+	for bi := range prog.Kernel {
+		for oi := range prog.Kernel[bi].Ops {
+			if op := &prog.Kernel[bi].Ops[oi]; len(op.Xfers) > 0 {
+				return op
+			}
+		}
+	}
+	t.Fatal("program has no bus transfer")
+	return nil
 }
 
 func exampleLoop(t *testing.T, name string) *ir.Loop {
