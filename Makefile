@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill profile-exec compare baseline serve loadtest trace exec lint fmt sloc
+.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill profile-exec profile-scale compare baseline serve loadtest trace exec lint fmt sloc
 
 all: build test
 
@@ -36,7 +36,7 @@ bench-parallel:
 # with `go tool pprof bench_cpu.pprof` (see README "Performance &
 # profiling").
 profile:
-	go test -run '^$$' -bench 'BenchmarkCompile|BenchmarkPlacement' -benchmem \
+	go test -run '^$$' -bench '^(BenchmarkCompile|BenchmarkCompileParallel|BenchmarkPlacement)$$' -benchmem \
 		-cpuprofile bench_cpu.pprof -memprofile bench_mem.pprof ./internal/core/
 	@echo "profiles: bench_cpu.pprof bench_mem.pprof (go tool pprof <file>)"
 
@@ -56,6 +56,15 @@ profile-exec:
 	go run ./cmd/msched run -exec -seed 1 -n 250 -backends list,mirs -machines unified,paper-4cluster \
 		-workers 1 -cpuprofile exec_cpu.pprof -memprofile exec_mem.pprof
 	@echo "profiles: exec_cpu.pprof exec_mem.pprof (go tool pprof <file>)"
+
+# Profile the large-loop path — the first 6 loops of the perfbench scale
+# workload (96–128 ops) x mirs x paper-4cluster, through the full
+# pipeline (BenchmarkCompileScale in internal/core); inspect with
+# `go tool pprof -top scale_cpu.pprof`.
+profile-scale:
+	go test -run '^$$' -bench '^BenchmarkCompileScale$$' -benchmem \
+		-cpuprofile scale_cpu.pprof -memprofile scale_mem.pprof ./internal/core/
+	@echo "profiles: scale_cpu.pprof scale_mem.pprof (go tool pprof <file>)"
 
 # Gate current quality (ΣII, ΣMaxLive) and throughput (allocs/op)
 # against the committed baseline — the same command CI runs.

@@ -7,6 +7,7 @@ import (
 
 	"github.com/paper-repo-growth/mirs/internal/core"
 	"github.com/paper-repo-growth/mirs/internal/report"
+	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
@@ -23,24 +24,37 @@ import (
 // re-seat) is on the gated path too; "perf:exec" compiles the
 // perf:examples grid with differential execution (core.Opts.Exec), so
 // the emitter and the pkg/vm oracle are on it as well — every
-// execution must verify clean. The corpus labels keep these rows
+// execution must verify clean; "perf:storm" compiles four generated
+// storm-corner loops (45 ops, the generator's largest) on paper-4cluster,
+// so the large-loop placement path — pick, pressure queries, victim
+// searches, in-place spill migration — is allocation-gated too. The
+// corpus labels keep these rows
 // distinct from the driver-computed quality rows over the same loops;
 // quality sums are included too, so a perf row gates exactly like any
 // other row plus the allocation check.
 func perfRows() (*report.File, error) {
 	f := &report.File{}
+	examples := ir.ExampleLoops()
+	var storm []*ir.Loop
+	for _, k := range gen.Corners() {
+		if k.Tag == "storm" {
+			storm = gen.CornerCorpus(1, 4, k)
+		}
+	}
 	for _, set := range []struct {
 		corpus   string
+		loops    []*ir.Loop
 		machines []*machine.Machine
 		opts     core.Opts
 	}{
-		{"perf:examples", []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}, core.Opts{}},
-		{"perf:tight", []*machine.Machine{machine.Tight()}, core.Opts{}},
-		{"perf:exec", []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}, core.Opts{Exec: true}},
+		{"perf:examples", examples, []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}, core.Opts{}},
+		{"perf:tight", examples, []*machine.Machine{machine.Tight()}, core.Opts{}},
+		{"perf:exec", examples, []*machine.Machine{machine.Unified(), machine.Paper4Cluster()}, core.Opts{Exec: true}},
+		{"perf:storm", storm, []*machine.Machine{machine.Paper4Cluster()}, core.Opts{}},
 	} {
 		for _, be := range core.Backends() {
 			for _, m := range set.machines {
-				row, err := perfRow(set.corpus, be, m, set.opts)
+				row, err := perfRow(set.corpus, set.loops, be, m, set.opts)
 				if err != nil {
 					return nil, err
 				}
@@ -51,9 +65,8 @@ func perfRows() (*report.File, error) {
 	return f, nil
 }
 
-// perfRow benchmarks one backend × machine over the example corpus.
-func perfRow(corpus string, be sched.Scheduler, m *machine.Machine, opts core.Opts) (report.Row, error) {
-	loops := ir.ExampleLoops()
+// perfRow benchmarks one backend × machine over one corpus.
+func perfRow(corpus string, loops []*ir.Loop, be sched.Scheduler, m *machine.Machine, opts core.Opts) (report.Row, error) {
 	var sumII, sumMaxLive, sumUnroll int
 	var firstErr error
 	res := testing.Benchmark(func(b *testing.B) {

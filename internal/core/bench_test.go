@@ -11,6 +11,7 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
@@ -278,6 +279,45 @@ func BenchmarkPlacement(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// scaleLoops generates the first n loops of the benchmark's scale
+// workload (perfbench, gen-seed 1): balanced loops of 96–128 ops, far
+// larger than any generator corner, which stress the multi-cluster II
+// search rather than spilling.
+func scaleLoops(n int) []*ir.Loop {
+	loops := make([]*ir.Loop, n)
+	for i := range loops {
+		s := gen.Mix(1, i)
+		ops := 96 + int(s%33)
+		loops[i] = gen.Generate(s, gen.Knobs{Tag: "scale", Ops: ops})
+		loops[i].Name = fmt.Sprintf("s%04d-%dops", i, ops)
+	}
+	return loops
+}
+
+// BenchmarkCompileScale compiles the first 6 scale-workload loops with
+// mirs on paper-4cluster through the full pipeline, differential
+// execution included — the large-loop path where the per-step cost of
+// the placement loop (pick, pressure query, victim search, spill
+// migration) shows. `make profile-scale` profiles it.
+func BenchmarkCompileScale(b *testing.B) {
+	loops := scaleLoops(6)
+	m := machine.Paper4Cluster()
+	be := mirs.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range loops {
+			r, err := CompileSafeWith(context.Background(), be, l, m, Opts{Exec: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !r.Verified.OK() {
+				b.Fatalf("%s: execution mismatch:\n%s", l.Name, r.Verified)
+			}
 		}
 	}
 }

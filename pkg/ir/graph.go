@@ -388,8 +388,22 @@ func (g *Graph) Preds(id int) []*Edge {
 // well-formed loop: every cycle in a dependence graph must cross an
 // iteration boundary. Schedulers use this as their placement order.
 func (g *Graph) IntraTopoOrder() ([]int, error) {
+	order, _, err := g.IntraTopoOrderInto(nil, nil)
+	return order, err
+}
+
+// IntraTopoOrderInto is IntraTopoOrder into the caller's buffers: the
+// order is written to order's storage and indeg is in-degree scratch,
+// each reused when its capacity allows and returned for the next call,
+// so a caller ordering many graphs allocates nothing once they have
+// grown.
+func (g *Graph) IntraTopoOrderInto(order, indeg []int) ([]int, []int, error) {
 	n := g.NumNodes()
-	indeg := make([]int, n)
+	if cap(indeg) < n {
+		indeg = make([]int, n)
+	}
+	indeg = indeg[:n]
+	clear(indeg)
 	for _, e := range g.Edges {
 		if e.Distance == 0 {
 			indeg[e.To]++
@@ -397,7 +411,10 @@ func (g *Graph) IntraTopoOrder() ([]int, error) {
 	}
 	// Kahn's algorithm with the output doubling as the FIFO queue: every
 	// node is enqueued exactly once, and order[head:] is what is pending.
-	order := make([]int, 0, n)
+	if cap(order) < n {
+		order = make([]int, 0, n)
+	}
+	order = order[:0]
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			order = append(order, i)
@@ -415,7 +432,7 @@ func (g *Graph) IntraTopoOrder() ([]int, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("ir: intra-iteration dependence cycle in loop %q", g.Loop.Name)
+		return order, indeg, fmt.Errorf("ir: intra-iteration dependence cycle in loop %q", g.Loop.Name)
 	}
-	return order, nil
+	return order, indeg, nil
 }

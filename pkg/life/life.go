@@ -26,6 +26,8 @@
 package life
 
 import (
+	"slices"
+
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -242,24 +244,41 @@ func appendLiveIns(dst []Lifetime, v *View) []Lifetime {
 // in first-use order. Schedulers use it to reference-count live-in
 // pressure as consumers are placed and ejected.
 func LiveInUses(l *ir.Loop) [][]ir.VReg {
-	defined := map[ir.VReg]bool{}
+	nregs := 0
+	for _, in := range l.Instrs {
+		for _, d := range in.Defs {
+			nregs = max(nregs, int(d)+1)
+		}
+	}
+	defined := make([]bool, nregs)
 	for _, in := range l.Instrs {
 		for _, d := range in.Defs {
 			defined[d] = true
 		}
 	}
+	isLiveIn := func(u ir.VReg) bool { return int(u) >= nregs || !defined[u] }
+	// One backing array for every row, each row capped at its own end;
+	// operand lists are a handful long, so duplicates are found by
+	// scanning the row built so far.
+	total := 0
+	for _, in := range l.Instrs {
+		for _, u := range in.Uses {
+			if isLiveIn(u) {
+				total++
+			}
+		}
+	}
+	backing := make([]ir.VReg, 0, total)
 	out := make([][]ir.VReg, len(l.Instrs))
 	for id, in := range l.Instrs {
-		var seen map[ir.VReg]bool
+		start := len(backing)
 		for _, u := range in.Uses {
-			if defined[u] || seen[u] {
-				continue
+			if isLiveIn(u) && !slices.Contains(backing[start:], u) {
+				backing = append(backing, u)
 			}
-			if seen == nil {
-				seen = map[ir.VReg]bool{}
-			}
-			seen[u] = true
-			out[id] = append(out[id], u)
+		}
+		if len(backing) > start {
+			out[id] = backing[start:len(backing):len(backing)]
 		}
 	}
 	return out

@@ -256,6 +256,7 @@ type attempter struct {
 	height     []int
 	liveInUses [][]ir.VReg
 	st         *state
+	audit      auditor // handed to the state; tests only
 }
 
 // Fork implements sched.Attempter: a copy with its own pooled state,
@@ -285,6 +286,7 @@ func (at *attempter) AttemptII(ctx context.Context, ii int, rec trace.Recorder) 
 	st.actx = ctx
 	st.steps = 0
 	st.vpolicy = at.s.opts.Victim
+	st.audit = at.audit
 	if err := st.reset(at.req.Loop, at.g, ii, at.s.opts.MaxRetries, at.maxSpills, at.height, at.liveInUses); err != nil {
 		return sched.Attempt{Err: err}
 	}
@@ -335,6 +337,9 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 			return nil, completed, 0, err
 		}
 		u := st.nextUnplaced()
+		if st.audit != nil {
+			st.audit.picked(st, u)
+		}
 		if u < 0 {
 			completed = true
 			st.compact()
@@ -362,11 +367,17 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 		if !st.place(u) {
 			return nil, completed, 0, nil
 		}
+		if st.audit != nil {
+			st.audit.stepped(st)
+		}
 		// Opportunistic relief as pressure builds; the final
 		// regpress.Analyze pass above settles any disagreement.
 		for !st.track.FitsAll() {
 			if !st.relieveTracked() {
 				break
+			}
+			if st.audit != nil {
+				st.audit.stepped(st)
 			}
 		}
 	}

@@ -26,7 +26,35 @@ import (
 // latency into a recurrence and can raise RecMII — and spill-generated
 // values are never victims. minLen filters lifetimes too short for a
 // store/reload round trip to shorten.
-func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
+//
+// Most searches find nothing; the victim emptiness index answers those
+// in O(1), and only a search that has a candidate scans.
+func (st *state) victim(cluster, minLen int) (id int, reg ir.VReg, ok bool) {
+	if !st.noVictim(cluster, minLen) {
+		id, reg, ok = st.scanVictim(cluster, minLen)
+	}
+	if st.audit != nil {
+		st.audit.chose(st, cluster, minLen, id, reg, ok)
+	}
+	return id, reg, ok
+}
+
+// noVictim reports from the emptiness index that no definition and no
+// live-in on cluster qualifies at minLen. It only answers for the two
+// relief thresholds; any other length reports false (scan).
+func (st *state) noVictim(cluster, minLen int) bool {
+	nc := len(st.liveCount)
+	for k, t := range st.thr {
+		if t == minLen {
+			return st.elig[k*nc+cluster] == 0 && (st.ii < minLen || st.liveCount[cluster] == 0)
+		}
+	}
+	return false
+}
+
+// scanVictim is the victim search proper: every charged definition and
+// every live-in on the cluster, best by the policy's order.
+func (st *state) scanVictim(cluster, minLen int) (int, ir.VReg, bool) {
 	type cand struct {
 		id      int
 		reg     ir.VReg
@@ -64,10 +92,10 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 			continue
 		}
 		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
-			if len(st.charged[fi]) == 0 {
-				continue
+			f := st.facts[fi]
+			if len(st.charged[fi]) == 0 || f.cons == 0 {
+				continue // uncharged, or a dead value: spilling it frees nothing
 			}
-			reg := st.defRegs[fi]
 			length := 0
 			for _, lt := range st.charged[fi] {
 				if lt.Cluster != cluster {
@@ -80,21 +108,7 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 			if length < minLen {
 				continue
 			}
-			uses, carried, any := 0, true, false
-			for _, e := range st.g.Succs(id) {
-				if e.Kind != ir.DepTrue || e.Reg != reg {
-					continue
-				}
-				any = true
-				uses++
-				if e.Distance == 0 {
-					carried = false
-				}
-			}
-			if !any {
-				continue // dead value; spilling it frees nothing
-			}
-			c := &cand{id: id, reg: reg, length: length, uses: uses, carried: carried}
+			c := &cand{id: id, reg: st.defRegs[fi], length: length, uses: int(f.cons), carried: f.carried}
 			if best == nil || better(c, best) {
 				best = c
 			}
@@ -103,8 +117,9 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 	// Live-ins consumed on this cluster: whole-kernel lifetimes, reload
 	// traffic equal to their number of consuming instructions.
 	if st.ii >= minLen {
+		nc := len(st.liveCount)
 		for r := 0; r < st.nregs; r++ {
-			if st.liveIn[cluster*st.nregs+r] <= 0 {
+			if st.liveIn[r*nc+cluster] <= 0 {
 				continue
 			}
 			reg := ir.VReg(r)
@@ -196,11 +211,25 @@ func (st *state) relieveWorst(press *regpress.Result) bool {
 
 // applySpill rewrites the loop with spill code for (id, reg) — a
 // store/reload pair for a definition, reloads only for a live-in (id ==
-// -1) — and migrates every piece of scheduling state to the new
-// instruction numbering. Placed instructions keep their placements — the
+// -1) — and migrates the scheduling state to the new instruction
+// numbering in place. Placed instructions keep their placements — the
 // materialised spill code is exactly the unplaced remainder, so the spill
 // is scheduled *inside* the ongoing schedule rather than restarting it.
+//
+// The migration costs what the spill changes, not the loop's size in
+// reservations: the rewired consumers are ejected first, under the old
+// graph whose edges reserved their transfers, pressure and live-in
+// references; then every table holding instruction IDs — the
+// per-instruction arrays, the MRT's occupants and transfer producers,
+// the charged slots — is renumbered through the monotone OldToNew map;
+// the tracker's counts hold no IDs and stay as they are. Under the new
+// graph only the spilled definition's lifetime changes, so only it is
+// refreshed; heights, the placement rank and the frontier are rederived
+// in O(n + E) into reused buffers.
 func (st *state) applySpill(id int, reg ir.VReg) bool {
+	if st.audit != nil {
+		st.audit.spilling(st, id, reg)
+	}
 	var sp *ir.Spill
 	var err error
 	if id < 0 {
@@ -231,127 +260,139 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	// this, heavy spilling starves the budget that was sized for the
 	// original body and placement dies half-done at every II.
 	st.budget += st.maxRetries * (n - st.loop.NumInstrs())
-	// Carry the per-instruction tables across in place. OldToNew is
-	// monotone and never maps an instruction below its old ID, so a
-	// backward walk reads every old entry before anything overwrites it;
-	// the slots left over are the new spill code's, reset to unplaced.
-	st.plc = grow(st.plc, n)
-	st.placed = grow(st.placed, n)
-	st.noSpill = grow(st.noSpill, n)
-	st.forcedAt = grow(st.forcedAt, n)
-	for old := len(sp.OldToNew) - 1; old >= 0; old-- {
-		now := sp.OldToNew[old]
-		st.plc[now] = st.plc[old]
-		st.placed[now] = st.placed[old]
-		st.noSpill[now] = st.noSpill[old]
-		st.forcedAt[now] = st.forcedAt[old]
-	}
-	fresh := func(x int) {
-		st.plc[x], st.placed[x], st.noSpill[x], st.forcedAt[x] = sched.Placement{}, false, true, 0
-	}
-	if id >= 0 {
-		st.noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
-		fresh(sp.StoreID)
-	}
-	for _, rid := range sp.ReloadIDs {
-		fresh(rid)
-	}
-	// Failures below this point would leave the state half-migrated, and
-	// none can occur for a well-formed spill (the spliced graph is acyclic
-	// intra-iteration, II is unchanged, and the re-seated reservations are
-	// the surviving subset of what was reserved before), so they panic as
-	// internal bugs rather than corrupting the in-flight schedule.
-	height, err := sched.Heights(sp.Graph)
-	if err != nil {
-		panic(fmt.Sprintf("mirs: spill of %s (def %d): %v", reg, id, err))
-	}
 
-	st.liveInUses = spliceLiveInUses(st.liveInUses, sp, id < 0, reg)
-	if st.spilled != nil {
-		st.spilled.Release() // superseded: nothing refers to it any more
-	}
-	st.loop, st.g, st.height, st.spilled = sp.Loop, sp.Graph, height, sp
-	st.mrt.Reset(st.ii)
-	st.track.Reset(st.ii)
-	st.wc.Reset(st.g, st.m, st.ii)
-	st.rebindLoop()
-
-	// Re-seat the surviving placements in the fresh MRT: unit slots,
-	// then bus transfers (one per cross-cluster true edge with both ends
-	// placed — the same set that was reserved before the renumbering, so
-	// neither step can conflict), then the pressure account.
-	for nid := 0; nid < n; nid++ {
-		if !st.placed[nid] {
-			continue
-		}
-		p := st.plc[nid]
-		if err := st.mrt.Reserve(p.Cluster, p.Slot, p.Cycle, nid); err != nil {
-			panic(fmt.Sprintf("mirs: re-seating instruction %d after spill: %v", nid, err))
-		}
-	}
-	for i := range st.g.Edges {
-		e := &st.g.Edges[i]
-		if e.Kind != ir.DepTrue || e.From == e.To || !st.placed[e.From] || !st.placed[e.To] {
-			continue
-		}
-		if st.plc[e.From].Cluster == st.plc[e.To].Cluster {
-			continue
-		}
-		tr := sched.Transfer{From: e.From, Reg: e.Reg, Dest: st.plc[e.To].Cluster,
-			Cycle: sched.TransferCycle(st.m, st.loop, st.plc, e.From)}
-		if err := st.mrt.AddTransfer(tr); err != nil {
-			panic(fmt.Sprintf("mirs: re-seating transfer of %s from %d to cluster %d at cycle %d after spill: %v",
-				tr.Reg, tr.From, tr.Dest, tr.Cycle, err))
-		}
-	}
-	for nid := 0; nid < n; nid++ {
-		if !st.placed[nid] {
-			continue
-		}
-		for _, d := range st.loop.Instrs[nid].Defs {
-			st.refreshDef(nid, d)
-		}
-		st.liveInAdjust(nid, 1)
-	}
 	// Eject the rewritten consumers so they reschedule after their
 	// reloads. A consumer kept in place would leave each reload an
 	// (often empty) window squeezed between the store and the consumer's
 	// old slot, and every empty window costs a forced placement; ejecting
 	// up front lets the reload seat itself and the consumer follow it.
 	// MaterializeSpill emits each reload immediately before its consumer,
-	// so the consumer is always the next instruction.
+	// so the consumer's new ID is the reload's plus one; its old ID is
+	// found by walking the monotone OldToNew alongside.
+	old := 0
 	for _, rid := range sp.ReloadIDs {
-		if c := rid + 1; st.placed[c] {
-			st.unplace(c)
+		for sp.OldToNew[old] != rid+1 {
+			old++
 		}
+		if st.placed[old] {
+			st.ejectAs(old, rid+1)
+		}
+	}
+
+	// Carry the per-instruction tables across in place. OldToNew is
+	// monotone and never maps an instruction below its old ID, so a
+	// backward walk reads every old entry before anything overwrites it;
+	// the slots left over are the new spill code's, reset to unplaced.
+	if !st.ownUses {
+		st.liuBuf, st.ownUses = append(st.liuBuf[:0], st.liveInUses...), true
+	}
+	st.plc = grow(st.plc, n)
+	st.placed = grow(st.placed, n)
+	st.noSpill = grow(st.noSpill, n)
+	st.forcedAt = grow(st.forcedAt, n)
+	st.liuBuf = grow(st.liuBuf, n)
+	st.liveInUses = st.liuBuf
+	for old := len(sp.OldToNew) - 1; old >= 0; old-- {
+		now := sp.OldToNew[old]
+		st.plc[now] = st.plc[old]
+		st.placed[now] = st.placed[old]
+		st.noSpill[now] = st.noSpill[old]
+		st.forcedAt[now] = st.forcedAt[old]
+		st.liveInUses[now] = st.liveInUses[old]
+	}
+	fresh := func(x int) {
+		st.plc[x], st.placed[x], st.noSpill[x], st.forcedAt[x] = sched.Placement{}, false, true, 0
+		st.liveInUses[x] = nil // spill code reads no live-in
+	}
+	if id >= 0 {
+		st.noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
+		fresh(sp.StoreID)
+	} else {
+		// A live-in spill rewires the consumers off the live-in, so it
+		// drops out of their rows (which may be shared: fresh slices).
+		for _, rid := range sp.ReloadIDs {
+			var kept []ir.VReg
+			for _, v := range st.liveInUses[rid+1] {
+				if v != reg {
+					kept = append(kept, v)
+				}
+			}
+			st.liveInUses[rid+1] = kept
+		}
+	}
+	for _, rid := range sp.ReloadIDs {
+		fresh(rid)
+	}
+	st.mrt.Renumber(sp.OldToNew)
+
+	// Swap in the new loop and graph. The superseded spill is released:
+	// nothing refers to it any more.
+	if st.spilled != nil {
+		st.spilled.Release()
+	}
+	st.loop, st.g, st.spilled = sp.Loop, sp.Graph, sp
+	st.lview.Loop, st.lview.Graph = sp.Loop, sp.Graph
+	st.wc.Rebind(st.g)
+	st.oldBase, st.defBase = st.defBase, st.oldBase
+	st.bindSlots()
+	st.moveCharged(sp)
+	nc := st.m.NumClusters()
+	if k := len(st.liveIn); st.nregs*nc > k {
+		st.liveIn = grow(st.liveIn, st.nregs*nc)
+		clear(st.liveIn[k:])
+	}
+	if id >= 0 {
+		st.refreshDef(sp.OldToNew[id], reg)
+	}
+	st.recount()
+
+	// Failures below this point would leave the state half-migrated, and
+	// none can occur for a well-formed spill (the spliced graph is acyclic
+	// intra-iteration), so they panic as internal bugs rather than
+	// corrupting the in-flight schedule.
+	st.hbuf, st.hwork, err = sched.HeightsInto(st.g, st.hbuf, st.hwork)
+	if err != nil {
+		panic(fmt.Sprintf("mirs: spill of %s (def %d): %v", reg, id, err))
+	}
+	st.height = st.hbuf
+	st.rankOrder()
+	st.rebuildFrontier()
+	if st.audit != nil {
+		st.audit.spilled(st)
 	}
 	return true
 }
 
-// spliceLiveInUses carries the per-instruction live-in reads
-// (life.LiveInUses) across a spill without recomputing them: spill code
-// reads no live-in (a store reads the spilled definition, a reload reads
-// memory), and a rewired consumer's reads change only in the spilled
-// register, which is a live-in exactly when the spill is a live-in
-// spill — then it drops out of its consumers' rows. The input rows may
-// be shared with other attempters, so a changed row is a fresh slice.
-func spliceLiveInUses(rows [][]ir.VReg, sp *ir.Spill, liveIn bool, reg ir.VReg) [][]ir.VReg {
-	out := make([][]ir.VReg, sp.Loop.NumInstrs())
-	for old, row := range rows {
-		out[sp.OldToNew[old]] = row
-	}
-	if !liveIn {
-		return out
-	}
-	for _, rid := range sp.ReloadIDs {
-		c := rid + 1 // each reload sits right before its consumer
-		var kept []ir.VReg
-		for _, v := range out[c] {
-			if v != reg {
-				kept = append(kept, v)
+// moveCharged carries the charged slots across a spill: old slot j of
+// instruction i moves to the same offset within instruction
+// OldToNew[i]'s slots (a spill never changes an old instruction's
+// definitions). The new slot index grows strictly with j and is never
+// below it, so a descending walk that swaps each slot into place only
+// ever swaps out spare storage, never a slot still to be moved; the spill
+// code's slots end up with spare storage, truncated. The lifetimes' Def
+// fields are renumbered with their slot.
+func (st *state) moveCharged(sp *ir.Spill) {
+	st.charged = grow(st.charged, len(st.defRegs))
+	for old := len(sp.OldToNew) - 1; old >= 0; old-- {
+		now := sp.OldToNew[old]
+		for j := st.oldBase[old+1] - 1; j >= st.oldBase[old]; j-- {
+			p := st.defBase[now] + j - st.oldBase[old]
+			st.charged[j], st.charged[p] = st.charged[p], st.charged[j]
+			for k := range st.charged[p] {
+				st.charged[p][k].Def = now
 			}
 		}
-		out[c] = kept
 	}
-	return out
+	trunc := func(x int) {
+		for fi := st.defBase[x]; fi < st.defBase[x+1]; fi++ {
+			st.charged[fi] = st.charged[fi][:0]
+		}
+	}
+	if sp.StoreID >= 0 {
+		trunc(sp.StoreID)
+	}
+	for _, rid := range sp.ReloadIDs {
+		trunc(rid)
+	}
+	st.carve()
 }

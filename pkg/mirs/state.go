@@ -3,6 +3,7 @@ package mirs
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
@@ -31,7 +32,10 @@ type state struct {
 	track  *regpress.Tracker
 	plc    []sched.Placement
 	placed []bool
-	height []int
+	// height is the dependence height per instruction: the attempter's
+	// shared analysis after reset, the state's own hbuf once a spill has
+	// recomputed it (hwork is HeightsInto's scratch).
+	height, hbuf, hwork []int
 	// wc memoises deadline-window scans; every placement mutation goes
 	// through commit/unplace, which invalidate the affected entries.
 	wc *sched.WindowCache
@@ -60,18 +64,53 @@ type state struct {
 	// liveInUses[i] are the distinct live-in registers instruction i
 	// reads (life.LiveInUses), the refcount basis of liveInAdjust.
 	liveInUses [][]ir.VReg
-	// liveIn holds the live-in refcounts densely: liveIn[ci*nregs+reg]
-	// counts cluster ci's placed consumers of live-in register reg.
-	liveIn []int32
-	nregs  int
+	// liveIn holds the live-in refcounts densely: liveIn[reg*nc+ci]
+	// counts cluster ci's placed consumers of live-in register reg
+	// (register-major, so the fresh registers a spill defines extend it
+	// at the end). liveCount[ci] is the number of registers with a
+	// non-zero refcount on cluster ci.
+	liveIn    []int32
+	liveCount []int32
+	nregs     int
+	// liuBuf is the state's own copy of liveInUses, made by the first
+	// spill of an attempt (until then liveInUses is the attempter's
+	// shared, read-only analysis); ownUses says the copy is current.
+	liuBuf  [][]ir.VReg
+	ownUses bool
 	// The charged lifetimes per definition, densely indexed: definition
 	// (id, reg) lives at the flat slot defBase[id] <= fi < defBase[id+1]
 	// with defRegs[fi] == reg; registers ascend within an instruction so
 	// victim scans reproduce the sorted-map iteration order. A slot's
 	// slice is truncated and refilled in place on every refresh.
-	defBase []int
-	defRegs []ir.VReg
-	charged [][]life.Lifetime
+	// oldBase is the previous layout while a spill migrates the slots.
+	defBase, oldBase []int
+	defRegs          []ir.VReg
+	charged          [][]life.Lifetime
+	// facts[fi] are slot fi's consumer facts under the current graph,
+	// derived with the slot layout whenever the graph changes.
+	facts []slotFacts
+
+	// The victim emptiness index. thr are the two relief thresholds
+	// (2·memLat+1 for a clearly profitable victim, memLat for the final
+	// pass's relaxed search); elig[k*nc+ci] counts the spillable
+	// definition slots — not noSpill, at least one consumer — whose
+	// charged lifetime on cluster ci is at least thr[k] long. A victim
+	// search that finds both its count and the cluster's live-in count
+	// at zero returns "none" without scanning.
+	thr  [2]int
+	elig []int32 // shares one array with liveCount
+
+	// The placement frontier nextUnplaced reads. adj[i] counts the
+	// dependence edges (self-loops excluded) joining i to a placed
+	// instruction; order lists the instructions by (height desc, ID asc)
+	// and rank inverts it (both views of ranks); near and far are bitsets
+	// over rank (both views of bitsets) holding the unplaced instructions
+	// with adj > 0 and adj == 0.
+	adj         []int32
+	ranks       []int32
+	order, rank []int32
+	bitsets     []uint64
+	near, far   []uint64
 
 	seenDefs []defKey         // refreshAround dedup scratch
 	trs      []sched.Transfer // transfer enumeration scratch
@@ -94,6 +133,10 @@ type state struct {
 	// vpolicy is the spill-victim tie-break order (Options.Victim),
 	// rebound per attempt alongside rec.
 	vpolicy VictimPolicy
+
+	// audit observes the scheduler at its checkpoints; nil in
+	// production, installed by tests through the attempter.
+	audit auditor
 
 	// Cancellation plumbing for poll: req carries the request's own
 	// deadline/cancel, actx — non-nil only under the parallel search
@@ -130,6 +173,26 @@ func (st *state) poll() error {
 	return nil
 }
 
+// auditor observes the scheduler at its checkpoints: every pick, every
+// victim search, every completed placement step and both sides of every
+// spill. Production leaves state.audit nil; the step-level differential
+// tests install one to check the incremental bookkeeping against
+// from-scratch references.
+type auditor interface {
+	picked(st *state, u int)
+	chose(st *state, cluster, minLen, id int, reg ir.VReg, ok bool)
+	stepped(st *state)
+	spilling(st *state, id int, reg ir.VReg)
+	spilled(st *state)
+}
+
+// slotFacts are a definition slot's consumer facts: its number of
+// true-dependence consumers, and whether every one is loop-carried.
+type slotFacts struct {
+	cons    int32
+	carried bool
+}
+
 type defKey struct {
 	id  int
 	reg ir.VReg
@@ -157,6 +220,10 @@ func newState(g *ir.Graph, m *machine.Machine, ii int) (*state, error) {
 		memLat: m.Latency(machine.ClassMem),
 		busLat: m.BusLatency(),
 	}
+	st.thr = [2]int{2*st.memLat + 1, st.memLat}
+	nc := m.NumClusters()
+	counts := make([]int32, (len(st.thr)+1)*nc)
+	st.elig, st.liveCount = counts[:len(st.thr)*nc], counts[len(st.thr)*nc:]
 	st.lview = &life.View{At: func(id int) (int, int, bool) {
 		if !st.placed[id] {
 			return 0, 0, false
@@ -169,7 +236,8 @@ func newState(g *ir.Graph, m *machine.Machine, ii int) (*state, error) {
 
 // reset retargets the state to candidate II ii over (loop, g), reusing
 // every backing allocation. height and liveInUses may carry precomputed
-// analyses of (g, loop); pass nil to recompute them.
+// analyses of (g, loop); pass nil to recompute them. Both are only read:
+// the state copies what a spill will rewrite.
 func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int, height []int, liveInUses [][]ir.VReg) error {
 	if height == nil {
 		var err error
@@ -185,7 +253,7 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.ii = ii
 	st.loop, st.g, st.spilled = loop, g, nil
 	st.height = height
-	st.liveInUses = liveInUses
+	st.liveInUses, st.ownUses = liveInUses, false
 	st.mrt.Reset(ii)
 	st.track.Reset(ii)
 	st.wc.Reset(g, st.m, ii)
@@ -198,17 +266,25 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.spills = 0
 	st.maxSpill = maxSpills
 	st.ejections, st.spillStores, st.spillLoads = 0, 0, 0
-	st.rebindLoop()
+	st.lview.Loop, st.lview.Graph, st.lview.Machine, st.lview.II = loop, g, st.m, ii
+	st.bindSlots()
+	st.rankOrder()
+	st.liveIn = resize(st.liveIn, st.nregs*st.m.NumClusters())
+	clear(st.elig)
+	clear(st.liveCount)
+	st.charged = grow(st.charged, len(st.defRegs))
+	for i := range st.charged {
+		st.charged[i] = st.charged[i][:0]
+	}
+	st.carve()
+	st.rebuildFrontier()
 	return nil
 }
 
-// rebindLoop refreshes every table derived from the current loop/graph
-// pair: the life view binding, the dense live-in refcounts and the
-// charged-lifetime slots. Call it from reset and after a spill swaps the
-// loop.
-func (st *state) rebindLoop() {
-	st.lview.Loop, st.lview.Graph, st.lview.Machine, st.lview.II = st.loop, st.g, st.m, st.ii
-
+// bindSlots derives the tables that depend only on the current loop and
+// graph: the register count, the dense definition-slot layout and each
+// slot's consumer facts.
+func (st *state) bindSlots() {
 	st.nregs = 0
 	for _, in := range st.loop.Instrs {
 		for _, v := range in.Defs {
@@ -222,14 +298,9 @@ func (st *state) rebindLoop() {
 			}
 		}
 	}
-	st.liveIn = resize(st.liveIn, st.m.NumClusters()*st.nregs)
 
 	n := st.loop.NumInstrs()
-	if cap(st.defBase) < n+1 {
-		st.defBase = make([]int, n+1)
-	} else {
-		st.defBase = st.defBase[:n+1]
-	}
+	st.defBase = grow(st.defBase, n+1)
 	st.defRegs = st.defRegs[:0]
 	for i, in := range st.loop.Instrs {
 		st.defBase[i] = len(st.defRegs)
@@ -245,15 +316,146 @@ func (st *state) rebindLoop() {
 		}
 	}
 	st.defBase[n] = len(st.defRegs)
-	if cap(st.charged) < len(st.defRegs) {
-		charged := make([][]life.Lifetime, len(st.defRegs))
-		copy(charged, st.charged)
-		st.charged = charged
-	} else {
-		st.charged = st.charged[:len(st.defRegs)]
+
+	st.facts = grow(st.facts, len(st.defRegs))
+	for id := 0; id < n; id++ {
+		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
+			st.facts[fi] = slotFacts{carried: true}
+		}
+		for _, e := range st.g.Succs(id) {
+			if e.Kind != ir.DepTrue {
+				continue
+			}
+			f := &st.facts[st.defSlot(id, e.Reg)]
+			f.cons++
+			if e.Distance == 0 {
+				f.carried = false
+			}
+		}
 	}
-	for i := range st.charged {
-		st.charged[i] = st.charged[i][:0]
+}
+
+// carve gives every charged slot with room for fewer intervals than
+// there are clusters — a definition charges at most one per cluster —
+// that capacity from one fresh array, so refreshes never grow a slot.
+func (st *state) carve() {
+	nc := st.m.NumClusters()
+	short := 0
+	for _, c := range st.charged {
+		if cap(c) < nc {
+			short++
+		}
+	}
+	if short == 0 {
+		return
+	}
+	buf := make([]life.Lifetime, short*nc)
+	for i, c := range st.charged {
+		if cap(c) < nc {
+			st.charged[i] = append(buf[:0:nc], c...)
+			buf = buf[nc:]
+		}
+	}
+}
+
+// rankOrder sorts the instructions by (height desc, ID asc) into order
+// and inverts it into rank: a counting sort over the height range, so it
+// allocates nothing once the buffers have grown.
+func (st *state) rankOrder() {
+	n := len(st.height)
+	top := 0
+	for _, h := range st.height {
+		if h > top {
+			top = h
+		}
+	}
+	// Bucket b = top - height holds the instructions of one height,
+	// highest first; after the prefix sum start[b] is bucket b's first
+	// rank. The heights' scratch buffer is free here.
+	start := resize(st.hwork, top+2)
+	st.hwork = start
+	for _, h := range st.height {
+		start[top-h+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	st.ranks = grow(st.ranks, 2*n)
+	st.order, st.rank = st.ranks[:n], st.ranks[n:2*n]
+	for id, h := range st.height {
+		r := start[top-h]
+		start[top-h]++
+		st.order[r], st.rank[id] = int32(id), int32(r)
+	}
+}
+
+// rebuildFrontier recomputes the adjacency counts and refiles every
+// unplaced instruction in near or far from the current placement.
+func (st *state) rebuildFrontier() {
+	n := len(st.placed)
+	st.adj = resize(st.adj, n)
+	for i := range st.g.Edges {
+		e := &st.g.Edges[i]
+		if e.From == e.To {
+			continue
+		}
+		if st.placed[e.From] {
+			st.adj[e.To]++
+		}
+		if st.placed[e.To] {
+			st.adj[e.From]++
+		}
+	}
+	w := (n + 63) / 64
+	st.bitsets = resize(st.bitsets, 2*w)
+	st.near, st.far = st.bitsets[:w], st.bitsets[w:]
+	for x := 0; x < n; x++ {
+		if !st.placed[x] {
+			st.file(x)
+		}
+	}
+}
+
+// file enters unplaced x in the frontier bitset its adjacency selects.
+func (st *state) file(x int) {
+	r := st.rank[x]
+	if st.adj[x] > 0 {
+		st.near[r>>6] |= 1 << (r & 63)
+	} else {
+		st.far[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// touch adjusts the adjacency count of every dependence neighbour of u
+// by delta as u is placed (+1) or unplaced (-1), moving an unplaced
+// neighbour between far and near when its count crosses zero.
+func (st *state) touch(u int, delta int32) {
+	for _, e := range st.g.Preds(u) {
+		if e.From != u {
+			st.bumpAdj(e.From, delta)
+		}
+	}
+	for _, e := range st.g.Succs(u) {
+		if e.To != u {
+			st.bumpAdj(e.To, delta)
+		}
+	}
+}
+
+func (st *state) bumpAdj(x int, delta int32) {
+	st.adj[x] += delta
+	if st.placed[x] {
+		return
+	}
+	r := st.rank[x]
+	w, b := r>>6, uint64(1)<<(r&63)
+	switch a := st.adj[x]; {
+	case delta > 0 && a == 1:
+		st.far[w] &^= b
+		st.near[w] |= b
+	case delta < 0 && a == 0:
+		st.near[w] &^= b
+		st.far[w] |= b
 	}
 }
 
@@ -300,37 +502,27 @@ func (st *state) defSlot(id int, reg ir.VReg) int {
 // a layer's worth of values alive at once. When nothing placed borders an
 // unplaced op (the first pick, or a disconnected component), the globally
 // highest op seeds a new region. Returns -1 when everything is placed.
+//
+// The frontier bitsets are kept in rank order, so the pick is the first
+// set bit of near, else of far: O(n/64).
 func (st *state) nextUnplaced() int {
-	best, bestAdj := -1, false
-	adjacent := func(id int) bool {
-		for _, e := range st.g.Preds(id) {
-			if e.From != id && st.placed[e.From] {
-				return true
-			}
-		}
-		for _, e := range st.g.Succs(id) {
-			if e.To != id && st.placed[e.To] {
-				return true
-			}
-		}
-		return false
+	if r := firstSet(st.near); r >= 0 {
+		return int(st.order[r])
 	}
-	for id := range st.placed {
-		if st.placed[id] {
-			continue
-		}
-		adj := adjacent(id)
-		if adj != bestAdj {
-			if adj {
-				best, bestAdj = id, true
-			}
-			continue
-		}
-		if best == -1 || st.height[id] > st.height[best] {
-			best = id
+	if r := firstSet(st.far); r >= 0 {
+		return int(st.order[r])
+	}
+	return -1
+}
+
+// firstSet returns the index of the lowest set bit of the bitset, or -1.
+func firstSet(set []uint64) int {
+	for w, word := range set {
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
 		}
 	}
-	return best
+	return -1
 }
 
 // clusterSupports reports whether any unit of cluster ci executes class.
@@ -621,6 +813,10 @@ func (st *state) commit(u, ci, t, slot int) {
 	}
 	st.plc[u] = sched.Placement{Cycle: t, Cluster: ci, Slot: slot}
 	st.placed[u] = true
+	r := st.rank[u]
+	st.near[r>>6] &^= 1 << (r & 63)
+	st.far[r>>6] &^= 1 << (r & 63)
+	st.touch(u, 1)
 	if st.rec != nil {
 		st.rec.Emit(trace.Event{Kind: trace.KindPlace, II: int32(st.ii), Op: int32(u),
 			Cluster: int32(ci), Cycle: int32(t), Reg: -1})
@@ -633,10 +829,15 @@ func (st *state) commit(u, ci, t, slot int) {
 // unplace ejects x from the schedule: frees its unit slot, drops the bus
 // transfers its placement implied, and rolls its pressure contributions
 // back. x returns to the pending pool via nextUnplaced.
-func (st *state) unplace(x int) {
+func (st *state) unplace(x int) { st.ejectAs(x, x) }
+
+// ejectAs is unplace reporting the ejection under instruction ID as: a
+// spill ejects the rewired consumers under the old numbering, before the
+// renumbering, but reports them under the new one.
+func (st *state) ejectAs(x, as int) {
 	st.ejections++
 	if st.rec != nil {
-		st.rec.Emit(trace.Event{Kind: trace.KindEject, II: int32(st.ii), Op: int32(x),
+		st.rec.Emit(trace.Event{Kind: trace.KindEject, II: int32(st.ii), Op: int32(as),
 			Cluster: int32(st.plc[x].Cluster), Cycle: int32(st.plc[x].Cycle), Reg: -1,
 			Label: st.loop.Instrs[x].Op})
 	}
@@ -663,6 +864,8 @@ func (st *state) release(x int) {
 	}
 	st.liveInAdjust(x, -1)
 	st.placed[x] = false
+	st.touch(x, -1)
+	st.file(x)
 	st.wc.Invalidate(x)
 	st.refreshAround(x)
 }
@@ -699,9 +902,15 @@ func (st *state) refreshAround(x int) {
 // the local lifetime to its last placed consumer plus one bus-delivered
 // copy per consuming remote cluster — the identical model
 // regpress.Analyze settles the schedule with. The charged slot's slice
-// is refilled in place, so steady-state refreshes allocate nothing.
+// is refilled in place, so steady-state refreshes allocate nothing. A
+// spillable slot's intervals are withdrawn from the victim emptiness
+// index before the refresh and re-entered after it.
 func (st *state) refreshDef(id int, reg ir.VReg) {
 	fi := st.defSlot(id, reg)
+	spillable := st.spillable(id, fi)
+	if spillable {
+		st.countSlot(fi, -1)
+	}
 	for _, lt := range st.charged[fi] {
 		st.track.RemoveLifetime(lt)
 	}
@@ -710,6 +919,43 @@ func (st *state) refreshDef(id int, reg ir.VReg) {
 		st.track.AddLifetime(lt)
 	}
 	st.charged[fi] = lts
+	if spillable {
+		st.countSlot(fi, 1)
+	}
+}
+
+// spillable reports whether definition slot fi of instruction id may be
+// a spill victim at all: not excluded by noSpill, and read by at least
+// one consumer (spilling a dead value frees nothing).
+func (st *state) spillable(id, fi int) bool { return !st.noSpill[id] && st.facts[fi].cons > 0 }
+
+// countSlot enters (delta=+1) or withdraws (delta=-1) slot fi's charged
+// intervals in the victim emptiness index. Each cluster holds at most
+// one interval of a definition (life.AppendOfDef), so an interval's
+// length is the slot's length on its cluster.
+func (st *state) countSlot(fi int, delta int32) {
+	nc := len(st.liveCount)
+	for _, lt := range st.charged[fi] {
+		l := lt.Length()
+		for k, t := range st.thr {
+			if l >= t {
+				st.elig[k*nc+lt.Cluster] += delta
+			}
+		}
+	}
+}
+
+// recount rebuilds the victim emptiness index from the charged table,
+// after a spill has changed which slots are spillable.
+func (st *state) recount() {
+	clear(st.elig)
+	for id := 0; id < st.loop.NumInstrs(); id++ {
+		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
+			if st.spillable(id, fi) {
+				st.countSlot(fi, 1)
+			}
+		}
+	}
 }
 
 // liveInAdjust charges (delta=+1) or releases (delta=-1) whole-kernel
@@ -717,15 +963,18 @@ func (st *state) refreshDef(id int, reg ir.VReg) {
 // cluster, reference-counted across that cluster's consumers.
 func (st *state) liveInAdjust(x, delta int) {
 	ci := st.plc[x].Cluster
+	nc := len(st.liveCount)
 	for _, u := range st.liveInUses[x] {
-		i := ci*st.nregs + int(u)
+		i := int(u)*nc + ci
 		st.liveIn[i] += int32(delta)
 		lt := life.Lifetime{Reg: u, Def: -1, Cluster: ci, Start: 0, End: st.ii - 1}
 		if delta > 0 && st.liveIn[i] == 1 {
 			st.track.AddLifetime(lt)
+			st.liveCount[ci]++
 		}
 		if delta < 0 && st.liveIn[i] == 0 {
 			st.track.RemoveLifetime(lt)
+			st.liveCount[ci]--
 		}
 	}
 }

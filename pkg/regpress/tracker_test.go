@@ -1,6 +1,7 @@
 package regpress
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -106,6 +107,53 @@ func TestTrackerMatchesAnalyze(t *testing.T) {
 			}
 			if tr.FitsAll() != press.Fits() {
 				t.Errorf("%s on %s: tracker FitsAll %v, Analyze Fits %v", l.Name, m.Name, tr.FitsAll(), press.Fits())
+			}
+		}
+	}
+}
+
+// TestTrackerMaxIndexMatchesScan drives random interleavings of Add and
+// Remove — intervals shorter and longer than II, so both the partial and
+// the full-wrap paths move counts — across Resets to other IIs, and
+// after every update holds the O(1) MaxLive/Excess/Fits to an O(II) scan
+// of the per-cycle counts.
+func TestTrackerMaxIndexMatchesScan(t *testing.T) {
+	m := machine.Tight()
+	rng := rand.New(rand.NewPCG(7, 11))
+	tr, err := NewTracker(m, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type iv struct{ cluster, start, end int }
+	var live []iv
+	for round, ii := range []int{5, 1, 13, 3, 40} {
+		tr.Reset(ii)
+		live = live[:0]
+		for step := 0; step < 3000; step++ {
+			if len(live) > 0 && rng.IntN(5) < 2 {
+				k := rng.IntN(len(live))
+				v := live[k]
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				tr.Remove(v.cluster, v.start, v.end)
+			} else {
+				v := iv{rng.IntN(m.NumClusters()), rng.IntN(50), 0}
+				v.end = v.start + rng.IntN(3*ii+2) - 1 // end < start: an empty interval
+				live = append(live, v)
+				tr.Add(v.cluster, v.start, v.end)
+			}
+			for ci := range m.Clusters {
+				want := 0
+				for c := 0; c < ii; c++ {
+					want = max(want, tr.PressureAt(ci, c))
+				}
+				over := max(want-m.Clusters[ci].RegFile.Size, 0)
+				if got := tr.MaxLive(ci); got != want {
+					t.Fatalf("round %d step %d: MaxLive(%d) = %d, scan %d", round, step, ci, got, want)
+				}
+				if tr.Excess(ci) != over || tr.Fits(ci) != (over == 0) {
+					t.Fatalf("round %d step %d: Excess(%d) = %d Fits = %v, scan excess %d", round, step, ci, tr.Excess(ci), tr.Fits(ci), over)
+				}
 			}
 		}
 	}

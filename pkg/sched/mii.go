@@ -88,13 +88,20 @@ func ResMII(l *ir.Loop, m *machine.Machine) (int, machine.OpClass, error) {
 // no cycle has positive slack latency - II*distance; the component
 // maximising that II is critical. An acyclic graph yields RecMII = 1 and
 // a nil SCC.
+//
+// Each probe of the binary search is a Bellman–Ford positive-cycle check
+// over the component's internal edge list: O(k·E_scc) in the worst case
+// for a k-node component, usually a few rounds thanks to the early exit,
+// so one component costs O(k·E_scc·log ΣLat) against the O(k³·log ΣLat)
+// of a dense all-pairs pass.
 func RecMII(g *ir.Graph) (int, []int, error) {
 	rec, critical := 1, []int(nil)
+	var rs recScratch
 	for _, scc := range SCCs(g) {
 		if !sccHasCycle(g, scc) {
 			continue
 		}
-		ii, err := sccMinII(g, scc)
+		ii, err := rs.sccMinII(g, scc)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -113,14 +120,18 @@ func RecMII(g *ir.Graph) (int, []int, error) {
 // as singleton components.
 func SCCs(g *ir.Graph) [][]int {
 	n := g.NumNodes()
-	index := make([]int, n)
-	lowlink := make([]int, n)
+	// index and lowlink share one array; every node is pushed and popped
+	// exactly once, so the components are carved, in pop order, from one
+	// more array of n.
+	marks := make([]int, 2*n)
+	index, lowlink := marks[:n], marks[n:]
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = -1
 	}
 	var (
-		stack []int
+		stack = make([]int, 0, n)
+		comps = make([]int, 0, n)
 		next  int
 		out   [][]int
 	)
@@ -143,17 +154,17 @@ func SCCs(g *ir.Graph) [][]int {
 			}
 		}
 		if lowlink[v] == index[v] {
-			var comp []int
+			start := len(comps)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				comps = append(comps, w)
 				if w == v {
 					break
 				}
 			}
-			out = append(out, comp)
+			out = append(out, comps[start:len(comps):len(comps)])
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -180,93 +191,105 @@ func sccHasCycle(g *ir.Graph, scc []int) bool {
 	return false
 }
 
+// recEdge is one dependence edge internal to a component, its endpoints
+// given as positions in the component.
+type recEdge struct {
+	from, to      int32
+	latency, dist int
+}
+
+// recScratch holds the buffers RecMII reuses across components and
+// across the probes of each component's binary search, allocated on the
+// first cyclic component: the node-position table (-1 outside the
+// current component) and the Bellman–Ford distance array share one
+// array, and the edge list is sized for the whole graph.
+type recScratch struct {
+	pos, d []int64
+	edges  []recEdge
+}
+
 // sccMinII finds the smallest II >= 1 such that the component has no
 // cycle with positive slack latency - II*distance. Feasibility is
 // monotone in II because every cycle inside an SCC of a valid dependence
 // graph has total distance >= 1, so binary search applies. The upper
 // bound is the sum of internal edge latencies: any cycle's latency is at
-// most that sum while its distance is at least 1. The node-position
-// table and the Floyd–Warshall matrix are allocated once and reused by
-// every probe of the binary search.
-func sccMinII(g *ir.Graph, scc []int) (int, error) {
-	pos := make([]int, g.NumNodes())
-	for i := range pos {
-		pos[i] = -1
+// most that sum while its distance is at least 1.
+func (rs *recScratch) sccMinII(g *ir.Graph, scc []int) (int, error) {
+	if rs.pos == nil {
+		n := g.NumNodes()
+		buf := make([]int64, 2*n)
+		rs.pos, rs.d = buf[:n], buf[n:]
+		for i := range rs.pos {
+			rs.pos[i] = -1
+		}
+		rs.edges = make([]recEdge, 0, len(g.Edges))
 	}
 	for i, v := range scc {
-		pos[v] = i
+		rs.pos[v] = int64(i)
 	}
-	latSum := 0
-	for _, v := range scc {
+	rs.edges = rs.edges[:0]
+	for i, v := range scc {
 		for _, e := range g.Succs(v) {
-			if pos[e.To] >= 0 {
-				latSum += e.Latency
+			if j := rs.pos[e.To]; j >= 0 {
+				rs.edges = append(rs.edges, recEdge{from: int32(i), to: int32(j), latency: e.Latency, dist: e.Distance})
 			}
 		}
 	}
-	k := len(scc)
-	dist := make([]int64, k*k)
-	hi := latSum
+	for _, v := range scc {
+		rs.pos[v] = -1
+	}
+	ii, hi, ok := minFeasibleII(rs.edges, rs.d[:len(scc)])
+	if !ok {
+		return 0, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", scc, hi)
+	}
+	return ii, nil
+}
+
+// minFeasibleII binary-searches the smallest II in [1, hi] at which the
+// component's edges carry no positive cycle, hi being the sum of their
+// latencies (at least 1); d has one entry per component node. ok is
+// false when even hi is infeasible — a cycle of total distance 0.
+func minFeasibleII(edges []recEdge, d []int64) (ii, hi int, ok bool) {
+	for _, e := range edges {
+		hi += e.latency
+	}
 	if hi < 1 {
 		hi = 1
 	}
-	if !sccFeasible(g, scc, pos, dist, hi) {
-		return 0, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", scc, hi)
+	if !noPositiveCycle(edges, d, hi) {
+		return 0, hi, false
 	}
-	lo := 1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sccFeasible(g, scc, pos, dist, mid) {
-			hi = mid
+	lo, top := 1, hi
+	for lo < top {
+		mid := (lo + top) / 2
+		if noPositiveCycle(edges, d, mid) {
+			top = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo, nil
+	return lo, hi, true
 }
 
-// sccFeasible reports whether, at the given II, the component has no
-// positive-weight cycle under edge weights latency - II*distance. It runs
-// a Floyd–Warshall longest-path pass restricted to the component over
-// the caller's k×k scratch matrix (dist) and node-position table (pos,
-// -1 outside the component).
-func sccFeasible(g *ir.Graph, scc []int, pos []int, dist []int64, ii int) bool {
-	const negInf = -1 << 40
-	k := len(scc)
-	for i := range dist {
-		dist[i] = negInf
-	}
-	for _, v := range scc {
-		for _, e := range g.Succs(v) {
-			j := pos[e.To]
-			if j < 0 {
-				continue
-			}
-			w := int64(e.Latency - ii*e.Distance)
-			if w > dist[pos[v]*k+j] {
-				dist[pos[v]*k+j] = w
+// noPositiveCycle reports whether, at the given II, the edges carry no
+// cycle of positive weight latency - II*distance. It is Bellman–Ford for
+// longest paths from a virtual source joined to every node by a 0-weight
+// edge (all of d starts at 0): with k nodes, k-1 rounds settle every
+// path, so a k-th round that still improves a distance proves a positive
+// cycle, and a round that improves nothing ends the check early.
+func noPositiveCycle(edges []recEdge, d []int64, ii int) bool {
+	clear(d)
+	for round := 0; round < len(d); round++ {
+		changed := false
+		for _, e := range edges {
+			if nd := d[e.from] + int64(e.latency) - int64(ii)*int64(e.dist); nd > d[e.to] {
+				d[e.to] = nd
+				changed = true
 			}
 		}
-	}
-	for m := 0; m < k; m++ {
-		for i := 0; i < k; i++ {
-			if dist[i*k+m] == negInf {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if dist[m*k+j] == negInf {
-					continue
-				}
-				if d := dist[i*k+m] + dist[m*k+j]; d > dist[i*k+j] {
-					dist[i*k+j] = d
-				}
-			}
+		if !changed {
+			return true
 		}
 	}
-	for i := 0; i < k; i++ {
-		if dist[i*k+i] > 0 {
-			return false
-		}
-	}
-	return true
+	return false
 }

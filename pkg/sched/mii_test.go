@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -172,4 +174,186 @@ func TestSCCsPartition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refRecMII is the previous RecMII, kept verbatim as the oracle the
+// Bellman–Ford probe is checked against: the same SCC walk and binary
+// search, each probe a dense k×k Floyd–Warshall longest-path pass.
+func refRecMII(g *ir.Graph) (int, []int, error) {
+	rec, critical := 1, []int(nil)
+	for _, scc := range SCCs(g) {
+		if !sccHasCycle(g, scc) {
+			continue
+		}
+		ii, err := refSCCMinII(g, scc)
+		if err != nil {
+			return 0, nil, err
+		}
+		if ii > rec {
+			rec = ii
+			critical = append([]int(nil), scc...)
+			sort.Ints(critical)
+		}
+	}
+	return rec, critical, nil
+}
+
+func refSCCMinII(g *ir.Graph, scc []int) (int, error) {
+	pos := make([]int, g.NumNodes())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, v := range scc {
+		pos[v] = i
+	}
+	var edges []recEdge
+	for i, v := range scc {
+		for _, e := range g.Succs(v) {
+			if j := pos[e.To]; j >= 0 {
+				edges = append(edges, recEdge{from: int32(i), to: int32(j), latency: e.Latency, dist: e.Distance})
+			}
+		}
+	}
+	ii, hi, ok := refMinFeasibleII(len(scc), edges)
+	if !ok {
+		return 0, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", scc, hi)
+	}
+	return ii, nil
+}
+
+// refMinFeasibleII is the binary search over the Floyd–Warshall
+// feasibility check, on an edge list over k nodes.
+func refMinFeasibleII(k int, edges []recEdge) (ii, hi int, ok bool) {
+	for _, e := range edges {
+		hi += e.latency
+	}
+	if hi < 1 {
+		hi = 1
+	}
+	dist := make([]int64, k*k)
+	if !refFeasible(k, edges, dist, hi) {
+		return 0, hi, false
+	}
+	lo, top := 1, hi
+	for lo < top {
+		mid := (lo + top) / 2
+		if refFeasible(k, edges, dist, mid) {
+			top = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, hi, true
+}
+
+func refFeasible(k int, edges []recEdge, dist []int64, ii int) bool {
+	const negInf = -1 << 40
+	for i := range dist {
+		dist[i] = negInf
+	}
+	for _, e := range edges {
+		w := int64(e.latency - ii*e.dist)
+		if i := int(e.from)*k + int(e.to); w > dist[i] {
+			dist[i] = w
+		}
+	}
+	for m := 0; m < k; m++ {
+		for i := 0; i < k; i++ {
+			if dist[i*k+m] == negInf {
+				continue
+			}
+			for j := 0; j < k; j++ {
+				if dist[m*k+j] == negInf {
+					continue
+				}
+				if d := dist[i*k+m] + dist[m*k+j]; d > dist[i*k+j] {
+					dist[i*k+j] = d
+				}
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		if dist[i*k+i] > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// recPopulation is the differential population: the generated corpus,
+// 20 loops of every corner preset and 20 large balanced loops shaped like
+// the benchmark's scale workload.
+func recPopulation() []*ir.Loop {
+	loops := gen.Corpus(1, 250)
+	for _, k := range gen.Corners() {
+		loops = append(loops, gen.CornerCorpus(1, 20, k)...)
+	}
+	for i := 0; i < 20; i++ {
+		s := gen.Mix(1, i)
+		loops = append(loops, gen.Generate(s, gen.Knobs{Tag: "scale", Ops: 96 + int(s%33)}))
+	}
+	return loops
+}
+
+// TestRecMIIMatchesFloydWarshall pins the Bellman–Ford RecMII to the
+// Floyd–Warshall oracle — bound, critical component and error — on every
+// graph of the population on the three stock machines.
+func TestRecMIIMatchesFloydWarshall(t *testing.T) {
+	graphs := 0
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		for _, l := range recPopulation() {
+			g := buildGraph(t, l, m)
+			rec, crit, err := RecMII(g)
+			wrec, wcrit, werr := refRecMII(g)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || rec != wrec || fmt.Sprint(crit) != fmt.Sprint(wcrit) {
+				t.Fatalf("%s on %s: RecMII = %d %v %v, oracle %d %v %v", l.Name, m.Name, rec, crit, err, wrec, wcrit, werr)
+			}
+			graphs++
+		}
+	}
+	if graphs != 1410 {
+		t.Fatalf("population has %d graphs, want 1410", graphs)
+	}
+}
+
+// FuzzRecMII checks the Bellman–Ford binary search against the
+// Floyd–Warshall oracle on random strongly connected components: a ring
+// through every node (so the component is strongly connected) plus
+// random chords, latencies 0–7 and distances 0–3, including components
+// whose only cycles have distance 0 (both must report unsatisfiable).
+func FuzzRecMII(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 2, 1, 1, 0})
+	f.Add([]byte{1, 5, 1})
+	f.Add([]byte{6, 2, 0, 3, 0, 1, 0, 4, 1, 2, 2, 7, 3, 9, 1, 0, 5, 3})
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0])%12
+		data = data[1:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		var edges []recEdge
+		for v := 0; v < k; v++ {
+			b := next()
+			edges = append(edges, recEdge{from: int32(v), to: int32((v + 1) % k), latency: b % 8, dist: (b / 8) % 4})
+		}
+		for len(data) >= 3 {
+			a, b, c := next(), next(), next()
+			edges = append(edges, recEdge{from: int32(a % k), to: int32(b % k), latency: c % 8, dist: (c / 8) % 4})
+		}
+		d := make([]int64, k)
+		ii, hi, ok := minFeasibleII(edges, d)
+		wii, whi, wok := refMinFeasibleII(k, edges)
+		if ii != wii || hi != whi || ok != wok {
+			t.Fatalf("k=%d edges=%v: got (%d, %d, %v), oracle (%d, %d, %v)", k, edges, ii, hi, ok, wii, whi, wok)
+		}
+	})
 }

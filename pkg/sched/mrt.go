@@ -346,6 +346,50 @@ func (t *MRT) RemoveTransfer(from int, reg ir.VReg, dest int) {
 	}
 }
 
+// Renumber rewrites every instruction ID the table holds — unit
+// occupants and bus-transfer producers — through oldToNew, for a
+// scheduler carrying its reservations across a rewrite that renumbers
+// instructions (spill materialisation). Reservations, bus counts and
+// reference counts are untouched. The map must be injective over the
+// IDs present; transfer keys stay unique, so the table is equal (Equal)
+// to one re-seated from scratch under the new numbering.
+func (t *MRT) Renumber(oldToNew []int) {
+	for i, id := range t.occ {
+		if id >= 0 {
+			t.occ[i] = int32(oldToNew[id])
+		}
+	}
+	for i := range t.busRefs {
+		t.busRefs[i].from = oldToNew[t.busRefs[i].from]
+	}
+}
+
+// Equal reports whether u holds exactly t's reservations: the same II,
+// the same occupant in every (cluster, slot, cycle) and the same live
+// transfers with the same reference counts, in any order.
+func (t *MRT) Equal(u *MRT) bool {
+	if t.ii != u.ii || len(t.occ) != len(u.occ) || len(t.busRefs) != len(u.busRefs) {
+		return false
+	}
+	for i := range t.occ {
+		if t.occ[i] != u.occ[i] {
+			return false
+		}
+	}
+	for i := range t.busUsed {
+		if t.busUsed[i] != u.busUsed[i] {
+			return false
+		}
+	}
+	for _, e := range t.busRefs {
+		j := u.findTransfer(e.from, e.reg, e.dest)
+		if j < 0 || u.busRefs[j] != e {
+			return false
+		}
+	}
+	return true
+}
+
 // BusUsed returns the number of distinct transfers occupying buses at the
 // given cycle (mod II).
 func (t *MRT) BusUsed(cycle int) int { return t.busUsed[t.mod(cycle)] }

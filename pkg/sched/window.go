@@ -140,7 +140,8 @@ type WindowCache struct {
 	bounded      []bool
 	estOK, lstOK []bool
 	// hits/misses count memoised lookups served from cache vs
-	// recomputed, reset with the cache. Plain int64 increments: the
+	// recomputed since the last Reset (Rebind keeps them). Plain int64
+	// increments: the
 	// counters exist so a tracing backend can emit per-II cache
 	// aggregates (trace.KindCacheHit/Miss) without paying a per-lookup
 	// event.
@@ -155,12 +156,21 @@ func NewWindowCache(g *ir.Graph, m *machine.Machine, ii int) *WindowCache {
 	return wc
 }
 
-// Reset rebinds the cache to a (possibly new) graph and II and clears
-// every entry, reusing the backing arrays when the shape allows. Call it
-// at the start of each candidate II and whenever the graph is swapped
-// (e.g. after spill materialisation renumbers instructions).
+// Reset retargets the cache to a (possibly new) graph and II for a new
+// candidate-II attempt: it clears every entry and zeroes the lookup
+// counters, reusing the backing arrays when the shape allows.
 func (wc *WindowCache) Reset(g *ir.Graph, m *machine.Machine, ii int) {
-	wc.g, wc.m, wc.ii, wc.nc = g, m, ii, m.NumClusters()
+	wc.m, wc.ii, wc.nc = m, ii, m.NumClusters()
+	wc.Rebind(g)
+	wc.hits, wc.misses = 0, 0
+}
+
+// Rebind swaps in a graph of the same attempt — typically the one spill
+// materialisation produced, which renumbers instructions — and clears
+// every entry. The lookup counters keep running: they count the whole
+// candidate-II attempt, however many spills it makes.
+func (wc *WindowCache) Rebind(g *ir.Graph) {
+	wc.g = g
 	need := g.NumNodes() * wc.nc
 	if cap(wc.est) < need {
 		wc.est = make([]int32, need)
@@ -168,18 +178,15 @@ func (wc *WindowCache) Reset(g *ir.Graph, m *machine.Machine, ii int) {
 		wc.bounded = make([]bool, need)
 		wc.estOK = make([]bool, need)
 		wc.lstOK = make([]bool, need)
-	} else {
-		wc.est = wc.est[:need]
-		wc.lst = wc.lst[:need]
-		wc.bounded = wc.bounded[:need]
-		wc.estOK = wc.estOK[:need]
-		wc.lstOK = wc.lstOK[:need]
-		for i := range wc.estOK {
-			wc.estOK[i] = false
-			wc.lstOK[i] = false
-		}
+		return
 	}
-	wc.hits, wc.misses = 0, 0
+	wc.est = wc.est[:need]
+	wc.lst = wc.lst[:need]
+	wc.bounded = wc.bounded[:need]
+	wc.estOK = wc.estOK[:need]
+	wc.lstOK = wc.lstOK[:need]
+	clear(wc.estOK)
+	clear(wc.lstOK)
 }
 
 // Stats returns the lookup counters since the last Reset: lookups
@@ -244,13 +251,28 @@ func (wc *WindowCache) Window(plc []Placement, placed []bool, id, cluster int) (
 // the longest latency path to a sink through intra-iteration (distance-0)
 // edges. It fails if the intra-iteration subgraph has a cycle.
 func Heights(g *ir.Graph) ([]int, error) {
-	topo, err := g.IntraTopoOrder()
-	if err != nil {
-		return nil, err
+	height, _, err := HeightsInto(g, nil, nil)
+	return height, err
+}
+
+// HeightsInto is Heights computed into the caller's buffers: height
+// receives the result and work the topological-order scratch (2n
+// ints), each reused when its capacity allows and returned resized, so
+// a scheduler recomputing heights after every spill allocates nothing
+// once its buffers have grown. The pass is O(nodes + edges).
+func HeightsInto(g *ir.Graph, height, work []int) ([]int, []int, error) {
+	n := g.NumNodes()
+	height = resizeInts(height, n)
+	if cap(work) < 2*n {
+		work = make([]int, 2*n)
 	}
-	height := make([]int, g.NumNodes())
-	for i := len(topo) - 1; i >= 0; i-- {
-		v := topo[i]
+	work = work[:2*n]
+	order, _, err := g.IntraTopoOrderInto(work[:0:n], work[n:])
+	if err != nil {
+		return height, work, err
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
 		for _, e := range g.Succs(v) {
 			if e.Distance != 0 {
 				continue
@@ -260,5 +282,16 @@ func Heights(g *ir.Graph) ([]int, error) {
 			}
 		}
 	}
-	return height, nil
+	return height, work, nil
+}
+
+// resizeInts returns s resized to n zeroed elements, reusing its storage
+// when the capacity allows.
+func resizeInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
