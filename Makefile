@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel profile profile-spill profile-exec profile-scale compare baseline serve loadtest trace exec lint fmt sloc
+.PHONY: all build test race bench bench-placement profile profile-spill profile-exec profile-scale compare baseline serve loadtest trace exec lint fmt sloc
 
 all: build test
 
@@ -25,18 +25,11 @@ bench:
 bench-placement:
 	go test -run '^$$' -bench BenchmarkPlacement -benchmem ./internal/core/
 
-# Speculative II search at 1 and 4 CPUs over the tail-heavy corpus; the
-# cpu=4 row reports a speedup metric vs cpu=1 and both rows land in
-# internal/core/BENCH_parallel.json. Needs >= 4 physical cores for the
-# ratio to mean anything.
-bench-parallel:
-	go test -run '^$$' -bench BenchmarkCompileParallel -cpu 1,4 -benchmem ./internal/core/
-
 # Capture CPU + allocation pprof profiles from the benchmarks; inspect
 # with `go tool pprof bench_cpu.pprof` (see README "Performance &
 # profiling").
 profile:
-	go test -run '^$$' -bench '^(BenchmarkCompile|BenchmarkCompileParallel|BenchmarkPlacement)$$' -benchmem \
+	go test -run '^$$' -bench '^(BenchmarkCompile|BenchmarkPlacement)$$' -benchmem \
 		-cpuprofile bench_cpu.pprof -memprofile bench_mem.pprof ./internal/core/
 	@echo "profiles: bench_cpu.pprof bench_mem.pprof (go tool pprof <file>)"
 

@@ -191,7 +191,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	backends := fs.String("backends", "all", "comma-separated backends; all expands to the registered ones")
 	machines := fs.String("machines", "unified,paper-4cluster", "comma-separated machines, or all")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	probes := fs.Int("probes", 1, "parallel candidate-II probes per compilation (outputs stay byte-identical)")
 	exec := fs.Bool("exec", false, "differentially execute every successful compilation (emitted bundles vs the sequential reference); any mismatch fails the run")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
 	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
@@ -245,7 +244,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	}
 	rep := driver.Run(spec, driver.Options{
 		Workers: *workers, Timeout: *timeout, Timing: *timing, KeepOutcomes: *keep,
-		TraceSlowest: *traceSlowest, TraceDir: *traceDir, Probes: *probes, Exec: *exec,
+		TraceSlowest: *traceSlowest, TraceDir: *traceDir, Exec: *exec,
 	})
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(stderr, "msched run:", err)
@@ -280,8 +279,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *exec {
 		executed, execFailed := 0, 0
 		for i := range rep.Combos {
-			executed += rep.Combos[i].Executed
-			execFailed += rep.Combos[i].ExecFailed
+			c := &rep.Combos[i]
+			executed += c.Executed
+			execFailed += c.ExecFailed
+			fmt.Fprintf(stdout, "exec %s x %s: %d programs use the frame (%d slots), %d of %d fitting; seq %d cyc, mve %d cyc\n",
+				c.Backend, c.Machine, c.FrameUsers, c.SumFrameSlots, c.FrameUsersFit, c.Fit, c.SumSeqCycles, c.SumMVECycles)
 		}
 		fmt.Fprintf(stdout, "exec-verify: %d compilations executed differentially, %d mismatches\n", executed, execFailed)
 		if len(rep.ExecFailures) > 0 {
@@ -312,11 +314,7 @@ func printSummary(w io.Writer, rep *driver.Report) {
 	if rep.ElapsedSeconds > 0 {
 		fmt.Fprintf(w, "wall clock %.2fs, %.0f compilations/sec across %d workers\n",
 			rep.ElapsedSeconds, rep.LoopsPerSec, rep.Workers)
-		fmt.Fprintf(w, "per-compilation latency p50 %dus p99 %dus", rep.P50Micros, rep.P99Micros)
-		if rep.Probes > 1 {
-			fmt.Fprintf(w, " (probes %d: %d launched, %d cancelled)", rep.Probes, rep.ProbesLaunched, rep.ProbesCancelled)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "per-compilation latency p50 %dus p99 %dus\n", rep.P50Micros, rep.P99Micros)
 	}
 	for _, o := range rep.Outcomes {
 		if o.Err != "" {

@@ -31,7 +31,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "localhost:8097", "listen address")
 	backend := fs.String("backend", "mirs", "default backend for requests that name none")
 	workers := fs.Int("workers", 0, "concurrent compilations (0 = GOMAXPROCS)")
-	probes := fs.Int("probes", 1, "parallel candidate-II probes per request, borrowing idle worker slots (responses stay byte-identical)")
 	queue := fs.Int("queue", 0, "compile queue depth before shedding with 429 (0 = 4x workers)")
 	cache := fs.Int("cache", 0, "schedule cache capacity in entries (0 = 4096)")
 	timeout := fs.Duration("timeout", 15*time.Second, "per-request compile budget")
@@ -45,7 +44,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) int {
 	cfg := serve.Config{
 		DefaultBackend: *backend,
 		Workers:        *workers,
-		Probes:         *probes,
 		QueueDepth:     *queue,
 		CacheSize:      *cache,
 		Timeout:        *timeout,

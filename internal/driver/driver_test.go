@@ -259,3 +259,57 @@ func TestTraceSamplingOffKeepsReportClean(t *testing.T) {
 		t.Fatalf("untraced report leaks trace fields: %s", b)
 	}
 }
+
+// TestExecFacts pins the exec facts a -exec sweep carries on a small
+// seeded population on the register-starved machine: per-outcome frame
+// slots and cycle counts set only on executed outcomes, per-combo sums
+// that fold exactly those, and the frame-user counts behind the
+// register-honesty figure (fitting schedules whose emitted code still
+// spills to the stack frame).
+func TestExecFacts(t *testing.T) {
+	spec := Spec{
+		Corpus:   "exec-facts",
+		Loops:    gen.Corpus(1, 24),
+		Backends: core.Backends(),
+		Machines: []*machine.Machine{machine.Tight()},
+	}
+	type facts struct{ fit, users, usersFit, slots, seq, mve int }
+	want := map[string]facts{
+		"list": {fit: 15, users: 15, usersFit: 6, slots: 184, seq: 12871, mve: 4442},
+		"mirs": {fit: 23, users: 12, usersFit: 11, slots: 330, seq: 19546, mve: 5276},
+	}
+	rep := Run(spec, Options{Workers: 2, Exec: true, KeepOutcomes: true})
+	if rep.Failures != 0 || len(rep.ExecFailures) != 0 {
+		t.Fatalf("failures %d, exec failures %v", rep.Failures, rep.ExecFailures)
+	}
+	for _, c := range rep.Combos {
+		var slots, seq, mve, users, usersFit int
+		for _, o := range rep.Outcomes {
+			if o.Backend != c.Backend || o.Machine != c.Machine {
+				continue
+			}
+			if !o.Executed {
+				t.Fatalf("%s: compiled outcome was not executed", o.Key())
+			}
+			if o.SeqCycles <= 0 || o.MVECycles <= 0 {
+				t.Fatalf("%s: executed without cycle counts: %+v", o.Key(), o)
+			}
+			slots, seq, mve = slots+o.FrameSlots, seq+o.SeqCycles, mve+o.MVECycles
+			if o.FrameSlots > 0 {
+				users++
+				if o.Fits {
+					usersFit++
+				}
+			}
+		}
+		if c.SumFrameSlots != slots || c.SumSeqCycles != seq || c.SumMVECycles != mve ||
+			c.FrameUsers != users || c.FrameUsersFit != usersFit {
+			t.Fatalf("%s x %s: combo sums %+v disagree with its outcomes (slots %d seq %d mve %d users %d fit %d)",
+				c.Backend, c.Machine, c, slots, seq, mve, users, usersFit)
+		}
+		got := facts{c.Fit, c.FrameUsers, c.FrameUsersFit, c.SumFrameSlots, c.SumSeqCycles, c.SumMVECycles}
+		if got != want[c.Backend] {
+			t.Errorf("%s x %s: exec facts %+v, want %+v", c.Backend, c.Machine, got, want[c.Backend])
+		}
+	}
+}

@@ -67,16 +67,6 @@ type Config struct {
 	// Timeout is the per-request compile budget (queue wait included);
 	// <= 0 means 15s.
 	Timeout time.Duration
-	// Probes caps per-request intra-compilation parallelism: a compile
-	// leader holding its slot additionally borrows up to Probes-1 idle
-	// slots — never blocking for them, so queue bounds and shedding
-	// behaviour are untouched — and speculatively attempts that many
-	// candidate IIs at once (core.Opts.ParallelProbes). Under load
-	// there are no idle slots and requests compile sequentially exactly
-	// as before; on a quiet server one hot request uses the cores that
-	// would otherwise idle. <= 1 — the default — disables borrowing.
-	// Compiled artifacts are byte-identical at any setting.
-	Probes int
 	// BeforeCompile, when set, runs on the singleflight leader after it
 	// acquired a compile slot and before the compilation starts. It
 	// exists for tests and the load-test harness, which use it to hold
@@ -185,12 +175,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
-	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 1
-	}
-	if cfg.Probes > cfg.Workers {
-		cfg.Probes = cfg.Workers
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -584,36 +568,13 @@ func (s *Server) lead(ctx context.Context, be sched.Scheduler, l *ir.Loop, m *ma
 	if s.cfg.BeforeCompile != nil {
 		s.cfg.BeforeCompile(addr)
 	}
-	// Intra-request parallelism from idle capacity only: borrow extra
-	// slots without ever blocking for one, so a busy server degrades to
-	// exactly the old sequential behaviour and the queue-depth contract
-	// is untouched.
-	extra := 0
-borrow:
-	for extra < s.cfg.Probes-1 {
-		select {
-		case s.slots <- struct{}{}:
-			extra++
-		default:
-			break borrow
-		}
-	}
-	defer func() {
-		for ; extra > 0; extra-- {
-			<-s.slots
-		}
-	}()
 	// The search-event counters ride along as the compilation's recorder
 	// (atomic increments, no buffering); the compile-phase clock feeds
 	// the per-backend latency histogram whatever the outcome.
 	compileBegin := time.Now()
-	r, err := core.CompileSafeWith(ctx, be, l, m, core.Opts{Recorder: &s.st.search, ParallelProbes: 1 + extra})
+	r, err := core.CompileSafeWith(ctx, be, l, m, core.Opts{Recorder: &s.st.search})
 	if h := s.st.compileLat[be.Name()]; h != nil {
 		h.observe(time.Since(compileBegin).Microseconds())
-	}
-	if r != nil {
-		s.st.probesLaunched.Add(r.ProbeStats.Launched)
-		s.st.probesCancelled.Add(r.ProbeStats.Cancelled)
 	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

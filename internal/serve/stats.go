@@ -26,13 +26,6 @@ type stats struct {
 	inflight     atomic.Int64 // gauge: leaders queued or compiling now
 	waiters      atomic.Int64 // gauge: joiners waiting on an in-flight compile
 
-	// Speculative-search accounting (Result.ProbeStats): probes the
-	// parallel II search launched and probes it cancelled as redundant.
-	// Timing-dependent by nature — they never feed deterministic
-	// artifacts, only this telemetry.
-	probesLaunched  atomic.Int64
-	probesCancelled atomic.Int64
-
 	latency latencyHist
 
 	// compileLat histograms the compile phase alone (no queueing, no
@@ -92,12 +85,6 @@ type Snapshot struct {
 	// Zero until the first request.
 	P50Micros int64 `json:"p50_micros"`
 	P99Micros int64 `json:"p99_micros"`
-	// ProbesLaunched / ProbesCancelled count the speculative
-	// candidate-II probes of the parallel search (zero unless
-	// Config.Probes > 1 found idle slots to borrow). Timing-dependent:
-	// report them, never gate on them.
-	ProbesLaunched  int64 `json:"probes_launched"`
-	ProbesCancelled int64 `json:"probes_cancelled"`
 }
 
 // HitRate is Hits / (Hits + Misses); zero before any lookup decides.
@@ -161,20 +148,18 @@ func (h *latencyHist) quantile(q float64) int64 {
 // snapshot copies the counters; cache figures are filled by the caller.
 func (st *stats) snapshot() Snapshot {
 	return Snapshot{
-		Requests:        st.requests.Load(),
-		Hits:            st.hits.Load(),
-		Misses:          st.misses.Load(),
-		Coalesced:       st.coalesced.Load(),
-		Shed:            st.shed.Load(),
-		Errors:          st.errors.Load(),
-		Timeouts:        st.timeouts.Load(),
-		Compilations:    st.compilations.Load(),
-		Inflight:        st.inflight.Load(),
-		Waiters:         st.waiters.Load(),
-		P50Micros:       st.latency.quantile(0.50),
-		P99Micros:       st.latency.quantile(0.99),
-		ProbesLaunched:  st.probesLaunched.Load(),
-		ProbesCancelled: st.probesCancelled.Load(),
+		Requests:     st.requests.Load(),
+		Hits:         st.hits.Load(),
+		Misses:       st.misses.Load(),
+		Coalesced:    st.coalesced.Load(),
+		Shed:         st.shed.Load(),
+		Errors:       st.errors.Load(),
+		Timeouts:     st.timeouts.Load(),
+		Compilations: st.compilations.Load(),
+		Inflight:     st.inflight.Load(),
+		Waiters:      st.waiters.Load(),
+		P50Micros:    st.latency.quantile(0.50),
+		P99Micros:    st.latency.quantile(0.99),
 	}
 }
 
@@ -227,15 +212,12 @@ func (s *Server) prometheusText() string {
 	counter("timeouts_total", "requests whose deadline fired", snap.Timeouts)
 	counter("compilations_total", "compilations run to successful completion", snap.Compilations)
 	counter("cache_evictions_total", "LRU entries evicted under pressure", snap.CacheEvictions)
-	counter("probes_launched_total", "speculative candidate-II probes launched by the parallel search", snap.ProbesLaunched)
-	counter("probes_cancelled_total", "speculative probes cancelled as redundant by a lower II's success", snap.ProbesCancelled)
 	gauge("inflight", "compile leaders currently queued or running", snap.Inflight)
 	gauge("waiters", "requests currently parked on an in-flight compilation", snap.Waiters)
 	gauge("cache_entries", "schedule cache occupancy", snap.CacheEntries)
 	gauge("cache_capacity", "schedule cache capacity in entries", int64(s.cfg.CacheSize))
 	gauge("queue_depth_limit", "compile admissions before shedding", int64(s.cfg.QueueDepth))
 	gauge("compile_slots", "concurrent compilation slots", int64(s.cfg.Workers))
-	gauge("parallel_probes", "per-request parallel II probe limit (1 = sequential)", int64(s.cfg.Probes))
 
 	fmt.Fprintf(&b, "# HELP msched_request_latency_seconds request latency over compile units (cache hits included)\n")
 	fmt.Fprintf(&b, "# TYPE msched_request_latency_seconds histogram\n")

@@ -129,12 +129,6 @@ msched_compilations_total 0
 # HELP msched_cache_evictions_total LRU entries evicted under pressure
 # TYPE msched_cache_evictions_total counter
 msched_cache_evictions_total 0
-# HELP msched_probes_launched_total speculative candidate-II probes launched by the parallel search
-# TYPE msched_probes_launched_total counter
-msched_probes_launched_total 0
-# HELP msched_probes_cancelled_total speculative probes cancelled as redundant by a lower II's success
-# TYPE msched_probes_cancelled_total counter
-msched_probes_cancelled_total 0
 # HELP msched_inflight compile leaders currently queued or running
 # TYPE msched_inflight gauge
 msched_inflight 0
@@ -153,9 +147,6 @@ msched_queue_depth_limit 8
 # HELP msched_compile_slots concurrent compilation slots
 # TYPE msched_compile_slots gauge
 msched_compile_slots 2
-# HELP msched_parallel_probes per-request parallel II probe limit (1 = sequential)
-# TYPE msched_parallel_probes gauge
-msched_parallel_probes 1
 `
 	if !strings.HasPrefix(text, golden) {
 		t.Fatalf("statsz counter/gauge section drifted.\nwant prefix:\n%s\ngot:\n%s", golden, text)

@@ -32,7 +32,6 @@
 package mirs
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -174,11 +173,7 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, sched.Attempter, err
 // from MII, switching to geometric steps after stagnationLimit
 // consecutive overflowing candidates without improvement, tracking the
 // least overflowing complete schedule as the graceful-degradation
-// fallback. Candidate keys are the candidate IIs. The parallel engine
-// speculates linearly and does not predict the geometric jump — a
-// plateau deep enough to trigger it means every nearby candidate
-// overflows anyway, so the skipped attempts are wasted work, never
-// wrong answers.
+// fallback. Candidate keys are the candidate IIs.
 type iiSweep struct {
 	sched.Cursor
 	req *sched.Request
@@ -244,9 +239,9 @@ func (w *iiSweep) Result() (*sched.Schedule, error) {
 }
 
 // attempter runs one candidate II per call on its own pooled state,
-// sharing the per-request analyses (graph, MII, heights, live-in uses)
-// read-only with every other attempter of the same probe. The state is
-// built lazily so speculated-but-never-run attempters cost nothing.
+// reading the per-request analyses (graph, MII, heights, live-in uses)
+// built once by Probe. The state is built lazily, at the first
+// attempt's II.
 type attempter struct {
 	s          *Scheduler
 	req        *sched.Request
@@ -259,20 +254,9 @@ type attempter struct {
 	audit      auditor // handed to the state; tests only
 }
 
-// Fork implements sched.Attempter: a copy with its own pooled state,
-// lazily built on first use.
-func (at *attempter) Fork() sched.Attempter {
-	cp := *at
-	cp.st = nil
-	return &cp
-}
-
 // AttemptII implements sched.Attempter: one candidate II on a freshly
-// reset state. ctx is the engine's per-probe cancellation, polled inside
-// the backtracking loop (state.poll) so a probe made redundant by a
-// lower II's success stops mid-fight instead of finishing a bounded but
-// possibly long ejection battle.
-func (at *attempter) AttemptII(ctx context.Context, ii int, rec trace.Recorder) sched.Attempt {
+// reset state.
+func (at *attempter) AttemptII(ii int, rec trace.Recorder) sched.Attempt {
 	if at.st == nil {
 		st, err := newState(at.g, at.req.Machine, ii)
 		if err != nil {
@@ -283,7 +267,6 @@ func (at *attempter) AttemptII(ctx context.Context, ii int, rec trace.Recorder) 
 	st := at.st
 	st.rec = rec
 	st.req = at.req
-	st.actx = ctx
 	st.steps = 0
 	st.vpolicy = at.s.opts.Victim
 	st.audit = at.audit
@@ -329,10 +312,10 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 	completed := false
 	for {
 		// Bounded cancellation latency inside the backtracking loop:
-		// ejection fights re-enter here once per placement, so a cancel
-		// (request deadline or engine probe-cancel) lands within a few
-		// dozen force-ejects even when one pathological II would churn
-		// for milliseconds more.
+		// ejection fights re-enter here once per placement, so a
+		// request deadline or cancel lands within a few dozen
+		// force-ejects even when one pathological II would churn for
+		// milliseconds more.
 		if err := st.poll(); err != nil {
 			return nil, completed, 0, err
 		}

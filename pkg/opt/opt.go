@@ -22,12 +22,11 @@
 // after the fact by pkg/regpress, so the MaxLive-gap column is
 // informational, not an optimum.
 //
-// The backend implements sched.Prober, so `-probes` speculation and the
-// portfolio machinery drive it unchanged.
+// The backend implements sched.Prober, so sched.Drive runs its II
+// search like every other backend's.
 package opt
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/paper-repo-growth/mirs/pkg/opt/sat"
@@ -118,8 +117,8 @@ type optSweep struct {
 // optAttempter.AttemptII): a schedule means SAT; no schedule with
 // Completed=true means a finished UNSAT proof; Completed=false means the
 // conflict budget ran out first. Schedule-less attempts carry the
-// conflicts spent in Excess (safe: Attempt.Success needs a schedule, so
-// the search engine can never mistake them for a win).
+// conflicts spent in Excess (safe: Consume only ever takes a schedule
+// as a win, never an Excess).
 func (w *optSweep) Consume(cand int, a sched.Attempt) {
 	if a.Schedule != nil {
 		a.Schedule.AddStat("ii_over_mii", cand)
@@ -154,15 +153,11 @@ func (w *optSweep) Result() (*sched.Schedule, error) {
 
 // optAttempter runs one candidate II per call. It holds only the shared
 // read-only analysis plus the budget; every attempt builds a fresh
-// encoder and solver, so attempts are pure and trivially parallel.
+// encoder and solver, so attempts are pure.
 type optAttempter struct {
 	ana    *analysis
 	budget int64
 }
-
-// Fork implements sched.Attempter: attempts never mutate the
-// attempter, so every worker can share this one.
-func (at *optAttempter) Fork() sched.Attempter { return at }
 
 // AttemptII implements sched.Attempter. Outcome vocabulary:
 //
@@ -171,15 +166,11 @@ func (at *optAttempter) Fork() sched.Attempter { return at }
 //   - UNSAT: Attempt{Completed: true, Excess: conflicts} — a proof that
 //     no schedule exists at this II.
 //   - budget exhausted: Attempt{Completed: false, Excess: conflicts}.
-//   - cancelled (engine ctx or request ctx): Attempt{Err}.
+//   - request cancelled: Attempt{Err}.
 //
 // The first three are pure functions of (request, candidate, budget);
-// only cancellation is timing-dependent, and the engine discards
-// cancelled attempts.
-func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recorder) sched.Attempt {
-	if ctx != nil && ctx.Err() != nil {
-		return sched.Attempt{Err: fmt.Errorf("opt: probe cancelled: %w", ctx.Err())}
-	}
+// only cancellation is timing-dependent.
+func (at *optAttempter) AttemptII(cand int, rec trace.Recorder) sched.Attempt {
 	ii := at.ana.mii.MII + cand
 	if rec != nil {
 		mark := int64(0)
@@ -191,10 +182,8 @@ func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recor
 	enc := newEncoder(at.ana, ii)
 	reqCtx := at.ana.req.Ctx
 	var stop func() bool
-	if ctx != nil || reqCtx != nil {
-		stop = func() bool {
-			return (ctx != nil && ctx.Err() != nil) || (reqCtx != nil && reqCtx.Err() != nil)
-		}
+	if reqCtx != nil {
+		stop = func() bool { return reqCtx.Err() != nil }
 	}
 	st := enc.s.Solve(at.budget, stop)
 	conflicts := int(enc.s.Conflicts())
@@ -222,9 +211,6 @@ func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recor
 		emitEnd(0)
 		return sched.Attempt{Completed: true, Excess: conflicts}
 	default:
-		if ctx != nil && ctx.Err() != nil {
-			return sched.Attempt{Err: fmt.Errorf("opt: probe cancelled: %w", ctx.Err())}
-		}
 		if reqCtx != nil && reqCtx.Err() != nil {
 			return sched.Attempt{Err: fmt.Errorf("opt: request cancelled: %w", reqCtx.Err())}
 		}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -102,7 +101,7 @@ func (w *listSweep) Result() (*Schedule, error) {
 
 // listAttempter runs one candidate key per call on its own scratch
 // (reservation table, placement buffers). The graph and placement order
-// are shared read-only with every other attempter of the same probe.
+// are built once by Probe and only read here.
 type listAttempter struct {
 	ls       ListScheduler
 	req      *Request
@@ -114,22 +113,10 @@ type listAttempter struct {
 	sc       *listScratch
 }
 
-// Fork implements Attempter: a copy with its own scratch, lazily sized
-// on first use.
-func (at *listAttempter) Fork() Attempter {
-	cp := *at
-	cp.sc = nil
-	return &cp
-}
-
 // AttemptII implements Attempter. List attempts carry no backtracking,
-// so they are short and engine cancellation (ctx) is honoured at
-// attempt boundaries only — the coordinator simply discards the result
-// of a cancelled probe.
-func (at *listAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recorder) Attempt {
-	if ctx != nil && ctx.Err() != nil {
-		return Attempt{Err: fmt.Errorf("sched: list: probe cancelled: %w", ctx.Err())}
-	}
+// so they are short and Drive's poll between candidates is the only
+// cancellation check they need.
+func (at *listAttempter) AttemptII(cand int, rec trace.Recorder) Attempt {
 	if at.sc == nil {
 		sc, err := newListScratch(at.req.Machine, at.g, at.mii)
 		if err != nil {
@@ -291,8 +278,7 @@ func newListScratch(m *machine.Machine, g *ir.Graph, ii int) (*listScratch, erro
 // fallback mode). ok=false means some instruction found no free slot
 // within its II-cycle window. On success the returned schedule owns a
 // fresh copy of the placements, so the scratch stays reusable. rec is
-// the attempt's recorder — per-probe under the parallel engine, the
-// request's own on the sequential path.
+// the attempt's recorder.
 func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCluster int, sc *listScratch, rec trace.Recorder) (*Schedule, bool) {
 	m := req.Machine
 	sc.mrt.Reset(ii)

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -10,23 +9,16 @@ import (
 
 // This file defines the II-search contract every backend shares: a
 // backend's search split into a deterministic state machine (Sweep) and
-// a pure per-candidate attempt function (Attempter), plus the one
-// driver (Drive) that runs any such pair in order. The split is what
-// lets pkg/sched/search probe several candidate IIs concurrently without
-// changing a single output byte: the engine may *attempt* candidates in
-// any order and in parallel, but results are fed back to the sweep
-// strictly in the order the sweep asks for them, so the schedule (and
-// its stats, and its trace) is a pure function of (loop, machine,
-// options) — never of goroutine completion order. Every backend's
-// Schedule is Drive over its own Probe, so "parallel output equals
-// sequential output" holds by construction, not by a re-implementation
-// kept in sync by hand.
+// a per-candidate attempt function (Attempter), plus the one driver
+// (Drive) that runs any such pair in candidate order. Every backend's
+// Schedule is Drive over its own Probe, so the escalation loop —
+// cancellation polling, error handling, the order results are folded
+// back — exists once instead of once per backend.
 
 // Attempt is the outcome of scheduling one candidate (one candidate II,
-// or one phase-encoded candidate key — see Sweep). It must be a pure
+// or one phase-encoded candidate key — see Sweep). It is a pure
 // function of (request, candidate): two attempts of the same candidate
-// return equivalent results and emit identical trace events, whichever
-// goroutine runs them.
+// return equivalent results and emit identical trace events.
 type Attempt struct {
 	// Schedule is the complete, Validate-clean schedule the attempt
 	// produced, or nil when the candidate yielded none. A backend that
@@ -41,42 +33,29 @@ type Attempt struct {
 	// zero when every file fits.
 	Excess int
 	// Err is the attempt's failure: invalid input, an internal
-	// validation error, or a cancellation (the request's context or the
-	// engine's per-probe context). An error ends the search with it.
+	// validation error, or the request's cancellation. An error ends
+	// the search with it.
 	Err error
 }
 
-// Success reports whether the attempt ended the search: a clean
-// schedule with no residual register overflow.
-func (a Attempt) Success() bool {
-	return a.Err == nil && a.Schedule != nil && a.Excess == 0
-}
-
 // Sweep is one II search as a deterministic state machine. Candidates
-// are integer keys, strictly increasing in the order Next returns them
-// and bounded by Last; a key encodes whatever the backend escalates
-// over (for the list scheduler the single-cluster fallback phase rides
-// in the key's upper range). The contract the drivers rely on:
+// are integer keys, strictly increasing in the order Next returns them;
+// a key encodes whatever the backend escalates over (for the list
+// scheduler the single-cluster fallback phase rides in the key's upper
+// range). The contract Drive relies on:
 //
 //   - Next/Consume alternate: every candidate Next returns is consumed
 //     exactly once, in order, before Next is called again. The sweep
-//     never sees attempts for candidates it did not ask for, and never
-//     sees a failed one — the driver returns an attempt's Err itself.
-//   - The parallel engine speculates linearly, cand+1 … Last. A sweep
-//     that jumps ahead (the MIRS stagnation step) only wastes the
-//     skipped attempts, never changes an answer: the engine discards
-//     results the sweep does not request.
+//     never sees a failed attempt — Drive returns an attempt's Err
+//     itself.
 //   - After Consume of a successful attempt (or the final candidate),
 //     Next reports done and Result returns the search's outcome.
 //
-// Sweeps embed a Cursor for Next and Last. They are not safe for
-// concurrent use; the drivers confine each sweep to one goroutine.
+// Sweeps embed a Cursor for Next. They are not safe for concurrent use.
 type Sweep interface {
 	// Next returns the next candidate to attempt, or done=true when the
 	// search is decided (success or candidates exhausted).
 	Next() (cand int, done bool)
-	// Last returns the largest candidate key the sweep may ask for.
-	Last() int
 	// Consume folds the (error-free) attempt of cand — the candidate
 	// the last Next returned — into the search state.
 	Consume(cand int, a Attempt)
@@ -104,56 +83,42 @@ func (c *Cursor) Next() (int, bool) {
 	return c.Cand, false
 }
 
-// Last implements Sweep.
-func (c *Cursor) Last() int { return c.Max }
-
-// Attempter runs single-candidate attempts. Each Attempter owns its
-// mutable scheduler state (reservation table, pressure tracker, scratch
-// pools) and is confined to one goroutine at a time; the immutable
-// analyses behind it (graph, MII, heights) are shared read-only with
-// every attempter forked from it. See the "sharing contract" note on
-// Prober.
+// Attempter runs single-candidate attempts. It owns its mutable
+// scheduler state (reservation table, pressure tracker, scratch pools),
+// reset per attempt, and reads the per-request analyses behind it
+// (graph, MII, heights) without mutating them. It is confined to one
+// goroutine at a time.
 type Attempter interface {
 	// AttemptII schedules candidate cand from a fresh per-candidate
-	// state. ctx, when non-nil, is the engine's per-probe cancellation
-	// — distinct from Request.Ctx — polled inside long backtracking
-	// fights so a probe made redundant by a lower II's success stops
-	// promptly; a cancelled attempt returns an Attempt whose Err wraps
-	// the context error. rec, when non-nil, receives the attempt's
-	// trace events; the engine hands each attempt a private buffer and
-	// replays the winning candidates' buffers into the caller's
-	// recorder in consume order, which is how exports stay
-	// byte-identical to a sequential run.
-	AttemptII(ctx context.Context, cand int, rec trace.Recorder) Attempt
-	// Fork returns an independent attempter that shares this one's
-	// read-only analyses and none of its mutable state. Only the
-	// parallel engine forks: once per extra worker, before any attempt
-	// runs.
-	Fork() Attempter
+	// state. rec, when non-nil, receives the attempt's trace events.
+	// Long backtracking fights poll Request.Cancelled inside the
+	// attempt, so a cancelled request stops mid-attempt with an
+	// Attempt whose Err wraps the context error.
+	AttemptII(cand int, rec trace.Recorder) Attempt
 }
 
 // Prober is a Scheduler whose II search can be driven candidate by
-// candidate — the hook Drive and pkg/sched/search run through.
+// candidate — the hook Drive runs through.
 //
 // Sharing contract: Probe performs the per-request analyses once (graph
-// construction, MII, heights, priority orders) and the sweep plus every
-// attempter forked from the returned one share them strictly
-// read-only. All mutable state — MRTs, pressure trackers, window
-// caches, placement buffers, spill-augmented loop clones — is owned by
-// exactly one attempter, and each attempter by one goroutine.
+// construction, MII, heights, priority orders) and the sweep and the
+// attempter share them strictly read-only. All mutable state — MRTs,
+// pressure trackers, window caches, placement buffers, spill-augmented
+// loop clones — is owned by the attempter, and one Prober value may
+// serve concurrent Probe calls (driver workers and serve leaders share
+// one backend instance).
 type Prober interface {
 	Scheduler
-	// Probe starts one search: the sweep and its first attempter, or an
-	// error for invalid input.
+	// Probe starts one search: the sweep and its attempter, or an error
+	// for invalid input.
 	Probe(req *Request) (Sweep, Attempter, error)
 }
 
-// Drive runs p's II search for req strictly in candidate order on the
-// first attempter — the sequential search every backend's Schedule is,
-// and the one pkg/sched/search reproduces speculatively. Between
-// candidates it polls req.Cancelled: one attempt is bounded work (the
-// backends cap backtracking and poll inside it too), so a timed-out
-// compilation stops promptly while an uncancellable one pays nothing.
+// Drive runs p's II search for req strictly in candidate order — the
+// search every backend's Schedule is. Between candidates it polls
+// req.Cancelled: one attempt is bounded work (the backends cap
+// backtracking and poll inside it too), so a timed-out compilation
+// stops promptly while an uncancellable one pays nothing.
 func Drive(req *Request, p Prober) (*Schedule, error) {
 	sw, at, err := p.Probe(req)
 	if err != nil {
@@ -167,7 +132,7 @@ func Drive(req *Request, p Prober) (*Schedule, error) {
 		if err := req.Cancelled(); err != nil {
 			return nil, err
 		}
-		a := at.AttemptII(nil, cand, req.Recorder)
+		a := at.AttemptII(cand, req.Recorder)
 		if a.Err != nil {
 			return nil, a.Err
 		}

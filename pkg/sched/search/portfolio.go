@@ -1,3 +1,8 @@
+// Package search races heterogeneous scheduling strategies for one loop
+// and keeps the best result by a deterministic quality order (Portfolio).
+// Each strategy runs its own backend's sequential II search
+// (sched.Drive) on a private request clone, so the race only changes
+// wall-clock time, never which schedule wins.
 package search
 
 import (
@@ -49,15 +54,13 @@ func NewPortfolio(strategies ...Strategy) *Portfolio {
 
 // DefaultPortfolio is the stock strategy mix: the list baseline (wins
 // only when it matches MIRS's II without spill traffic, which it does on
-// easy loops at a fraction of the cost), default MIRS, MIRS with a
-// doubled force budget (deeper ejection fights sometimes land a lower
-// II), and MIRS preferring fewest-uses spill victims (less reload
-// traffic under pressure).
+// easy loops at a fraction of the cost), default MIRS, and MIRS
+// preferring fewest-uses spill victims (less reload traffic under
+// pressure).
 func DefaultPortfolio() *Portfolio {
 	return NewPortfolio(
 		Strategy{Name: "list", Scheduler: sched.ListScheduler{}},
 		Strategy{Name: "mirs", Scheduler: mirs.New()},
-		Strategy{Name: "mirs-retry16", Scheduler: mirs.New(mirs.WithMaxRetries(16))},
 		Strategy{Name: "mirs-fewest-uses", Scheduler: mirs.New(mirs.WithVictimPolicy(mirs.VictimFewestUses))},
 	)
 }

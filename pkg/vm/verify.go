@@ -66,13 +66,6 @@ func (r *Report) String() string {
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Verify closes the loop on one compilation: it emits the expanded
 // kernel to architectural bundles, binds the seeded operation semantics,
 // and executes the sequential reference against the pipelined program —
